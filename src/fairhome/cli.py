@@ -5,22 +5,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
 
 from .data import SubgroupKey
+from .errors import UsageError
 from .metrics import LabeledPredictions, compute_report
 from .runner import (
     ExperimentConfig,
     emit_report,
-    improvement_table,
     read_records_csv,
-    region_distribution,
     run_experiment,
     write_manifest,
+    write_tables,
     wtl_matrix,
-    _write_csv,
 )
 
 
@@ -46,29 +46,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import os
-
     rows = read_records_csv(args.records)
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "improvement.csv"), improvement_table(rows),
-               ["task", "method", "metric", "original_mean", "method_mean",
-                "absolute_change", "relative_change_pct"])
-    written = ["improvement.csv"]
-    if any(r.get("method") == "fairhome" for r in rows):
-        wtl = wtl_matrix(rows)
-        fields = ["metric"] + sorted({k for r in wtl for k in r} - {"metric"})
-        _write_csv(os.path.join(args.out, "win_tie_loss.csv"), wtl, fields)
-        written.append("win_tie_loss.csv")
+    case_rows = None
     if args.regions:
         with open(args.regions, newline="", encoding="utf-8") as fh:
             case_rows = list(csv.DictReader(fh))
-        _write_csv(os.path.join(args.out, "region_distribution.csv"),
-                   region_distribution(case_rows),
-                   ["method", "win-win", "good", "poor", "lose-lose", "inverted",
-                    "total", "beats_baseline_pct"])
-        written.append("region_distribution.csv")
-    for name in written:
-        print(f"wrote {args.out}/{name}")
+    os.makedirs(args.out, exist_ok=True)
+    wtl = wtl_matrix(rows) if any(r.get("method") == "fairhome" for r in rows) else []
+    for path in write_tables(args.out, rows, wtl, case_rows).values():
+        print(f"wrote {path}")
     return 0
 
 
@@ -140,7 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as e:  # a bad config or argument, reported like argparse's
+        print(f"fairhome: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 The baseline is built by replacing growing random fractions of a model's
 predictions with the test-set majority class and recording how fairness and
 performance move; a mitigation method is then placed in one of five regions
-relative to the original model and this curve.
+relative to the original model and this curve. All repetitions of one degree
+are scored together, as the rows of one prediction matrix, from the metrics'
+single counting table.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .metrics import (
     PERFORMANCE_METRICS,
     LabeledPredictions,
     compute_report,
+    compute_reports,
 )
 
 DEFAULT_DEGREES = tuple(round(0.1 * k, 1) for k in range(11))
@@ -57,39 +60,48 @@ def majority_class(y_true) -> int:
     return 1 if 2 * ones >= len(y_true) else 0
 
 
+def check_curve_settings(degrees, reps: int) -> tuple:
+    """Validated degrees (ascending, 0.0 to 1.0) for ``reps`` >= 1 repetitions."""
+    degrees = tuple(degrees)
+    if not degrees or list(degrees) != sorted(degrees) or degrees[0] != 0.0 or degrees[-1] != 1.0:
+        raise UsageError("degrees must be ascending and span 0.0 to 1.0")
+    if not isinstance(reps, int) or reps < 1:
+        raise UsageError("reps must be an integer >= 1")
+    return degrees
+
+
 def mutation_curve(preds: LabeledPredictions, degrees, reps: int, seed: int) -> list:
-    """Mean flat metric dict per degree of majority-class prediction replacement."""
+    """Mean flat metric dict per degree of majority-class prediction replacement.
+
+    Each interior degree draws its ``reps`` replacement sets, in order, into the
+    rows of one (reps, N) prediction matrix scored by a single
+    ``compute_reports`` call; each metric is then summed over the rows in order
+    and divided by ``reps``.
+    """
+    degrees = check_curve_settings(degrees, reps)
     n = len(preds)
     majority = majority_class(preds.y_true)
     rng = np.random.default_rng(seed)
-    def evaluate(mutated):
-        return compute_report(
-            LabeledPredictions(
-                y_true=preds.y_true, y_pred=mutated,
-                subgroup_of=preds.subgroup_of, single_group_of=preds.single_group_of,
-            )
-        ).to_flat_dict()
-
     curve = []
     for degree in degrees:
         k = int(degree * n)
         if k == 0 or k == n:
             # every repetition is identical; evaluating once keeps the
             # endpoint values exact instead of averaging float copies
-            mutated = np.array(preds.y_pred, copy=True)
+            mutated = preds.y_pred.copy()
             mutated[:k] = majority
-            flat = evaluate(mutated)
-            curve.append({key: v for key, v in flat.items() if isinstance(v, float)})
-            continue
+            reports = [compute_report(preds.with_predictions(mutated))]
+        else:
+            mutated = np.tile(preds.y_pred, (reps, 1))
+            for row in mutated:
+                row[rng.choice(n, size=k, replace=False)] = majority
+            reports = compute_reports(preds, mutated)
         acc: dict = {}
-        for _ in range(reps):
-            mutated = np.array(preds.y_pred, copy=True)
-            replace = rng.choice(n, size=k, replace=False)
-            mutated[replace] = majority
-            for key, value in evaluate(mutated).items():
+        for report in reports:
+            for key, value in report.to_flat_dict().items():
                 if isinstance(value, float):
                     acc[key] = acc.get(key, 0.0) + value
-        curve.append({key: total / reps for key, total in acc.items()})
+        curve.append({key: total / len(reports) for key, total in acc.items()})
     return curve
 
 
@@ -111,11 +123,7 @@ def build_baseline(
         raise UsageError(f"unknown fairness metric {fairness_metric!r}")
     if performance_metric not in PERFORMANCE_METRICS:
         raise UsageError(f"unknown performance metric {performance_metric!r}")
-    degrees = tuple(degrees)
-    if list(degrees) != sorted(degrees) or degrees[0] != 0.0 or degrees[-1] != 1.0:
-        raise UsageError("degrees must be ascending and span 0.0 to 1.0")
-    if reps < 1:
-        raise UsageError("reps must be >= 1")
+    degrees = check_curve_settings(degrees, reps)
     if curve is None:
         curve = mutation_curve(original_preds, degrees, reps, seed)
     points = [
@@ -128,17 +136,6 @@ def build_baseline(
     return TradeoffBaseline(points=points, degrees=degrees, reps_per_degree=reps,
                             fairness_metric=fairness_metric,
                             performance_metric=performance_metric)
-
-
-def export_baseline_csv(baseline: TradeoffBaseline, path) -> None:
-    """Write the polyline as (degree, fairness, performance) rows."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", baseline.fairness_metric, baseline.performance_metric])
-        for degree, point in zip(baseline.degrees, baseline.points):
-            writer.writerow([degree, point.fairness, point.performance])
 
 
 def _baseline_fairness_at(baseline: TradeoffBaseline, performance: float):

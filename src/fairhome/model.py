@@ -246,10 +246,6 @@ def predict_proba(classifier, instance: Instance) -> float:
     return classifier.predict_proba(instance)
 
 
-def decide(p: float) -> int:
-    return 1 if p >= 0.5 else 0
-
-
 def decisions_matrix(classifier, X: np.ndarray) -> np.ndarray:
     return (classifier.proba_matrix(X) >= 0.5).astype(int)
 

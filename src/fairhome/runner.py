@@ -14,14 +14,15 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, Schema, load_dataset, protected_domains, split
 from .ensemble import EnsembleStrategy, fairhome_predict
 from .errors import UsageError
-from .fairea import DEFAULT_DEGREES, DEFAULT_REPS, build_baseline, classify_case, mutation_curve
+from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, build_baseline, check_curve_settings,
+                     classify_case, mutation_curve)
 from .metrics import (
     FAIRNESS_METRICS,
     PERFORMANCE_METRICS,
@@ -76,7 +77,7 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
         self.methods = tuple(self.methods)
-        self.fairea_degrees = tuple(self.fairea_degrees)
+        self.fairea_degrees = check_curve_settings(self.fairea_degrees, self.fairea_reps)
 
     @property
     def task_id(self) -> str:
@@ -204,11 +205,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         seed = config.base_seed + rep
         train, test = split(dataset, config.test_fraction, seed)
         domains = protected_domains(train)
-        cfg = TrainConfig(
-            learning_rate=config.train.learning_rate, epochs=config.train.epochs,
-            batch_size=config.train.batch_size, l2_penalty=config.train.l2_penalty,
-            seed=seed,
-        )
+        cfg = replace(config.train, seed=seed, instance_weights=None)
 
         def fit(train_cfg):
             if config.model_kind == "logistic":
@@ -228,11 +225,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         rew_model, rew_error = None, None
         if "rew" in config.methods:
             try:
-                rew_model = fit(TrainConfig(
-                    learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-                    batch_size=cfg.batch_size, l2_penalty=cfg.l2_penalty, seed=seed,
-                    instance_weights=reweighting_weights(train, domains),
-                ))
+                rew_model = fit(replace(cfg, instance_weights=reweighting_weights(train, domains)))
             except Exception as e:
                 rew_error = f"{type(e).__name__}: {e}"
 
@@ -243,6 +236,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             except UsageError:
                 corr = None  # surfaces as a per-cell failure below
 
+        # the test split's group keys are factored once; each method scores a copy
+        labeled = LabeledPredictions.from_dataset(test, test.labels)
         rep_reports: dict = {}
         rep_preds: dict = {}
         for method in config.methods:
@@ -256,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 if method == "rew" and rew_error is not None:
                     raise UsageError(f"reweighted training failed: {rew_error}")
                 y_pred = _method_predictions(method, model, rew_model, test, domains, corr)
-                preds = LabeledPredictions.from_dataset(test, y_pred)
+                preds = labeled.with_predictions(y_pred)
                 record.report = compute_report(preds)
                 rep_reports[method] = record.report
                 rep_preds[method] = preds
@@ -404,6 +399,28 @@ def _record_fieldnames(rows) -> list:
     return head + core + extra
 
 
+def write_tables(output_dir, rows, wtl_rows, case_rows) -> dict:
+    """Write improvement.csv from metric rows, win_tie_loss.csv when there are
+    win-tie-loss rows, and region_distribution.csv unless ``case_rows`` is None.
+
+    Returns the paths written.
+    """
+    paths = {"improvement": os.path.join(output_dir, "improvement.csv")}
+    _write_csv(paths["improvement"], improvement_table(rows),
+               ["task", "method", "metric", "original_mean", "method_mean",
+                "absolute_change", "relative_change_pct"])
+    if wtl_rows:
+        paths["wtl"] = os.path.join(output_dir, "win_tie_loss.csv")
+        fields = ["metric"] + sorted({k for r in wtl_rows for k in r} - {"metric"})
+        _write_csv(paths["wtl"], wtl_rows, fields)
+    if case_rows is not None:
+        paths["regions"] = os.path.join(output_dir, "region_distribution.csv")
+        _write_csv(paths["regions"], region_distribution(case_rows),
+                   ["method", "win-win", "good", "poor", "lose-lose", "inverted",
+                    "total", "beats_baseline_pct"])
+    return paths
+
+
 def emit_report(records, fairea_cases, wtl_rows, output_dir) -> dict:
     """Write the per-cell metrics, improvement, win-tie-loss, and region CSVs.
 
@@ -411,33 +428,17 @@ def emit_report(records, fairea_cases, wtl_rows, output_dir) -> dict:
     the metric CSVs stay byte-identical across reruns.
     """
     os.makedirs(output_dir, exist_ok=True)
-    paths = {}
-
     rows = [r.to_row() for r in records]
-    paths["metrics"] = os.path.join(output_dir, "metrics.csv")
+    paths = {"metrics": os.path.join(output_dir, "metrics.csv")}
     _write_csv(paths["metrics"], rows, _record_fieldnames(rows))
 
-    imp = improvement_table(rows)
-    paths["improvement"] = os.path.join(output_dir, "improvement.csv")
-    _write_csv(paths["improvement"], imp,
-               ["task", "method", "metric", "original_mean", "method_mean",
-                "absolute_change", "relative_change_pct"])
-
-    if wtl_rows:
-        paths["wtl"] = os.path.join(output_dir, "win_tie_loss.csv")
-        fields = ["metric"] + sorted({k for r in wtl_rows for k in r} - {"metric"})
-        _write_csv(paths["wtl"], wtl_rows, fields)
-
-    if fairea_cases:
-        case_rows = [c.to_row() for c in fairea_cases]
+    case_rows = [c.to_row() for c in fairea_cases] or None
+    if case_rows:
         paths["fairea_cases"] = os.path.join(output_dir, "fairea_regions.csv")
         _write_csv(paths["fairea_cases"], case_rows,
                    ["task", "method", "repetition", "fairness_metric",
                     "performance_metric", "region"])
-        paths["regions"] = os.path.join(output_dir, "region_distribution.csv")
-        _write_csv(paths["regions"], region_distribution(case_rows),
-                   ["method", "win-win", "good", "poor", "lose-lose", "inverted",
-                    "total", "beats_baseline_pct"])
+    paths.update(write_tables(output_dir, rows, wtl_rows, case_rows))
     return paths
 
 

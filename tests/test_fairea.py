@@ -88,6 +88,9 @@ def test_build_baseline_validates_inputs(rng):
         build_baseline(preds, "wc_spd", "accuracy", degrees=(0.0, 0.5))
     with pytest.raises(UsageError):
         build_baseline(preds, "wc_spd", "accuracy", reps=0)
+    for degrees, reps in (((0.0, 0.5), 2), ((), 2), ((0.0, 1.0), 0)):
+        with pytest.raises(UsageError):
+            mutation_curve(preds, degrees, reps, seed=0)
 
 
 def hand_baseline():
@@ -147,20 +150,6 @@ def test_classification_partition_property(rng):
             warnings.simplefilter("ignore")
             region = classify_case(point, ORIGINAL, baseline)
         assert isinstance(region, TradeoffRegion)
-
-
-def test_baseline_csv_export(tmp_path, rng):
-    preds = make_preds(rng)
-    baseline = build_baseline(preds, "wc_spd", "accuracy", degrees=(0.0, 0.5, 1.0),
-                              reps=2, seed=5)
-    path = tmp_path / "baseline.csv"
-    from fairhome.fairea import export_baseline_csv
-
-    export_baseline_csv(baseline, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "degree,wc_spd,accuracy"
-    assert len(lines) == 4
-    assert float(lines[1].split(",")[1]) == baseline.points[0].fairness
 
 
 def test_classification_monotone_in_fairness(rng):

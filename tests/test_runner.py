@@ -276,3 +276,41 @@ def test_cli_seed_and_reps_overrides(tmp_path):
     rows = read_records_csv(out / "metrics.csv")
     assert len(rows) == 1
     assert rows[0]["seed"] == 9.0
+
+
+@pytest.mark.parametrize("fairea", [
+    {"fairea_reps": 0},
+    {"fairea_reps": "3"},
+    {"fairea_degrees": [0.0, 0.5]},
+    {"fairea_degrees": [0.5, 0.0, 1.0]},
+    {"fairea_degrees": []},
+])
+def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
+    from fairhome.errors import UsageError
+
+    with pytest.raises(UsageError):
+        small_config(tmp_path, **fairea)
+
+
+def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    import fairhome.runner
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(fairhome.runner, "fit_logistic", no_training)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "dataset_path": str(FIXTURES / "german_synth.csv"),
+        "schema_path": str(FIXTURES / "german_synth.schema.json"),
+        "methods": ["original", "fairhome"],
+        "repetitions": 1,
+        "fairea_reps": 0,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "reps must be" in captured.err
+    assert not (tmp_path / "out").exists()
