@@ -72,8 +72,12 @@ def cmd_metrics(args) -> int:
             return 2
         y_true, y_pred, groups = [], [], {a: [] for a in protected}
         for row in reader:
-            y_true.append(int(row["y_true"]))
-            y_pred.append(int(row["y_pred"]))
+            try:
+                y_true.append(int(row["y_true"]))
+                y_pred.append(int(row["y_pred"]))
+            except (TypeError, ValueError):  # TypeError: the row is short of a cell
+                raise UsageError(f"line {reader.line_num}: y_true and y_pred must be "
+                                 f"integers, got {row['y_true']!r}, {row['y_pred']!r}") from None
             for a in protected:
                 groups[a].append(row[a])
 

@@ -142,15 +142,19 @@ def _parse_cell(raw: str, attr: AttributeSpec, line_no: int):
 def load_dataset(path, schema: Schema) -> Dataset:
     """Read a headered CSV into a Dataset, binarizing labels against the schema.
 
-    Raises SchemaError when the header does not carry exactly the schema
-    attributes plus the label column, and DataError for malformed rows or a
-    label column with more than one non-favorable value (multi-class).
+    Raises SchemaError when the header repeats a column or does not carry
+    exactly the schema attributes plus the label column, and DataError for
+    malformed rows or a label column with more than one non-favorable value
+    (multi-class).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        duplicates = sorted({name for name in header if header.count(name) > 1})
+        if duplicates:
+            raise SchemaError(f"{path}: duplicate header columns {duplicates}")
         expected = set(schema.names()) | {schema.label_column}
         got = set(header)
         if got != expected:

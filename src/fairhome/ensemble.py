@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import Instance, ProtectedDomains
 from .errors import UsageError
+from .model import favorable
 from .mutate import CorrelationModel, MutationStrategy, generate_mutants
 
 
@@ -36,29 +37,27 @@ class EnsembleInputs:
             if not 0.0 <= p <= 1.0:
                 raise UsageError(f"probability {p} outside [0, 1]")
 
-    @property
-    def decisions(self) -> tuple:
-        return tuple(1 if p >= 0.5 else 0 for p in self.probabilities)
-
 
 def aggregate(inputs: EnsembleInputs, strategy: EnsembleStrategy) -> int:
-    """Combine member probabilities into a single {0,1} decision."""
+    """Combine member probabilities into a single {0,1} decision.
+
+    Each strategy reduces the members to one score in [0, 1] and ``favorable``
+    turns that score into the decision. The majority-vote score is the share of
+    favorable votes, so a vote split exactly in half is favorable.
+    """
     p = np.asarray(inputs.probabilities, dtype=float)
     if strategy is EnsembleStrategy.MAJORITY_VOTE:
-        unfavorable = int((p < 0.5).sum())
-        # unfavorable only when strictly more than half the votes are unfavorable
-        return 0 if 2 * unfavorable > len(p) else 1
-    if strategy is EnsembleStrategy.AVERAGING:
-        return 1 if p.mean() >= 0.5 else 0
-    if strategy is EnsembleStrategy.WEIGHTED_AVERAGING:
+        score = np.count_nonzero(favorable(p)) / len(p)
+    elif strategy is EnsembleStrategy.AVERAGING:
+        score = p.mean()
+    elif strategy is EnsembleStrategy.WEIGHTED_AVERAGING:
         w = np.abs(p - 0.5)
         total = w.sum()
-        if total == 0.0:  # every member sits on the boundary; weighted mean undefined
-            combined = p.mean()
-        else:
-            combined = float((w * p).sum() / total)
-        return 1 if combined >= 0.5 else 0
-    raise UsageError(f"unknown ensemble strategy {strategy!r}")
+        # every member on the boundary leaves the weighted mean undefined
+        score = p.mean() if total == 0.0 else (w * p).sum() / total
+    else:
+        raise UsageError(f"unknown ensemble strategy {strategy!r}")
+    return int(favorable(score))
 
 
 def fairhome_predict(
@@ -68,22 +67,9 @@ def fairhome_predict(
     mutation: MutationStrategy = MutationStrategy.PROTECTED_ONLY,
     ensemble: EnsembleStrategy = EnsembleStrategy.MAJORITY_VOTE,
     corr: CorrelationModel | None = None,
-    audit=None,
 ) -> int:
-    """Ensemble decision over the original input and all its mutants.
-
-    ``audit``, when given, is a callable receiving a dict with the member
-    probabilities and the final decision (one record per prediction).
-    """
+    """Ensemble decision over the original input and all its mutants."""
     mutant_set = generate_mutants(instance, domains, mutation, corr)
     members = [instance, *mutant_set.mutants]
     probabilities = tuple(classifier.predict_proba(m) for m in members)
-    decision = aggregate(EnsembleInputs(probabilities), ensemble)
-    if audit is not None:
-        audit({
-            "probabilities": list(probabilities),
-            "strategy": ensemble.value,
-            "mutation": mutation.value,
-            "decision": decision,
-        })
-    return decision
+    return aggregate(EnsembleInputs(probabilities), ensemble)

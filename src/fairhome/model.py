@@ -58,21 +58,6 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def _check_trainable(train: Dataset, config: TrainConfig):
-    if len(train) < 2:
-        raise TrainingError("need at least 2 training rows")
-    if len(set(train.labels)) < 2:
-        raise TrainingError("training data contains a single label class")
-    if config.instance_weights is not None and len(config.instance_weights) != len(train):
-        raise UsageError("instance_weights length must equal the training size")
-
-
-def _sample_weights(n: int, config: TrainConfig) -> np.ndarray:
-    if config.instance_weights is None:
-        return np.ones(n)
-    return np.asarray(config.instance_weights, dtype=float)
-
-
 def logistic_loss_grad(w, b, X, y, sample_w, l2):
     """Weighted-mean cross-entropy + 0.5*l2*||w||^2, with analytic gradients."""
     z = X @ w + b
@@ -172,28 +157,46 @@ class MlpModel:
         }
 
 
-def fit_logistic(train: Dataset, config: TrainConfig) -> LogisticModel:
-    """Weighted logistic regression via gradient descent; zero-initialized."""
-    _check_trainable(train, config)
+def _descend(train: Dataset, config: TrainConfig, init, loss_grad):
+    """Seeded mini-batch gradient descent shared by both models.
+
+    ``init(dim)`` returns the list of parameter arrays, which are updated in
+    place; ``loss_grad(params, X, y, sample_w, l2)`` returns their gradients in
+    the same order. Returns the training encoding and the trained parameters.
+    """
+    if len(train) < 2:
+        raise TrainingError("need at least 2 training rows")
+    if len(set(train.labels)) < 2:
+        raise TrainingError("training data contains a single label class")
+    sample_w = config.instance_weights
+    if sample_w is None:
+        sample_w = np.ones(len(train))
+    elif len(sample_w) != len(train):
+        raise UsageError("instance_weights length must equal the training size")
     encoding = build_encoding(train)
     X = encode_matrix(train.instances(), train.schema, encoding)
     y = np.asarray(train.labels, dtype=float)
-    sample_w = _sample_weights(len(train), config)
 
-    w = np.zeros(encoding.dim)
-    b = 0.0
+    params = init(encoding.dim)
     rng = np.random.default_rng(config.seed)
-    loss_history = []
     for _ in range(config.epochs):
         for idx in _batches(len(train), config.batch_size, rng):
-            _, gw, gb = logistic_loss_grad(w, b, X[idx], y[idx], sample_w[idx], config.l2_penalty)
-            w -= config.learning_rate * gw
-            b -= config.learning_rate * gb
-        loss_history.append(logistic_loss_grad(w, b, X, y, sample_w, config.l2_penalty)[0])
+            grads = loss_grad(params, X[idx], y[idx], sample_w[idx], config.l2_penalty)
+            for param, grad in zip(params, grads):
+                param -= config.learning_rate * grad
+    return encoding, params
 
-    meta = {"kind": "logistic", "seed": config.seed, "n_train": len(train),
-            "loss_history": loss_history}
-    return LogisticModel(weights=w, bias=b, encoding=encoding, schema=train.schema, meta=meta)
+
+def fit_logistic(train: Dataset, config: TrainConfig) -> LogisticModel:
+    """Weighted logistic regression via gradient descent; zero-initialized."""
+    # the bias is a 0-d array so the descent loop can update it in place
+    encoding, (w, b) = _descend(
+        train, config, lambda dim: [np.zeros(dim), np.zeros(())],
+        lambda params, X, y, sw, l2: logistic_loss_grad(*params, X, y, sw, l2)[1:],
+    )
+    meta = {"kind": "logistic", "seed": config.seed, "n_train": len(train)}
+    return LogisticModel(weights=w, bias=float(b), encoding=encoding, schema=train.schema,
+                         meta=meta)
 
 
 def init_mlp_params(dim_in: int, hidden_layers, seed: int):
@@ -210,34 +213,25 @@ def init_mlp_params(dim_in: int, hidden_layers, seed: int):
 
 def fit_mlp(train: Dataset, config: TrainConfig, hidden_layers=DEFAULT_HIDDEN_LAYERS) -> MlpModel:
     """Fully-connected net with ReLU hidden layers and a sigmoid output unit."""
-    _check_trainable(train, config)
-    encoding = build_encoding(train)
-    X = encode_matrix(train.instances(), train.schema, encoding)
-    y = np.asarray(train.labels, dtype=float)
-    sample_w = _sample_weights(len(train), config)
+    n_layers = len(hidden_layers) + 1
 
-    weights, biases = init_mlp_params(encoding.dim, hidden_layers, config.seed)
-    rng = np.random.default_rng(config.seed)
-    loss_history = []
-    for _ in range(config.epochs):
-        for idx in _batches(len(train), config.batch_size, rng):
-            _, gw, gb = mlp_loss_grad(weights, biases, X[idx], y[idx], sample_w[idx],
-                                      config.l2_penalty)
-            for layer in range(len(weights)):
-                weights[layer] -= config.learning_rate * gw[layer]
-                biases[layer] -= config.learning_rate * gb[layer]
-        loss_history.append(
-            mlp_loss_grad(weights, biases, X, y, sample_w, config.l2_penalty)[0]
-        )
+    def init(dim):
+        weights, biases = init_mlp_params(dim, hidden_layers, config.seed)
+        return weights + biases
 
+    def loss_grad(params, X, y, sw, l2):
+        _, gw, gb = mlp_loss_grad(params[:n_layers], params[n_layers:], X, y, sw, l2)
+        return gw + gb
+
+    encoding, params = _descend(train, config, init, loss_grad)
     meta = {"kind": "mlp", "seed": config.seed, "n_train": len(train),
-            "hidden_layers": tuple(hidden_layers), "loss_history": loss_history}
-    return MlpModel(layer_weights=weights, layer_biases=biases, encoding=encoding,
-                    schema=train.schema, meta=meta)
+            "hidden_layers": tuple(hidden_layers)}
+    return MlpModel(layer_weights=params[:n_layers], layer_biases=params[n_layers:],
+                    encoding=encoding, schema=train.schema, meta=meta)
 
 
 def predict_proba(classifier, instance: Instance) -> float:
-    """Favorable-class probability; the decision is favorable iff p >= 0.5."""
+    """Favorable-class probability; ``favorable`` turns it into the decision."""
     if len(instance.values) != len(classifier.schema.attributes):
         raise ShapeError(
             f"instance has {len(instance.values)} attributes, "
@@ -246,8 +240,12 @@ def predict_proba(classifier, instance: Instance) -> float:
     return classifier.predict_proba(instance)
 
 
-def decisions_matrix(classifier, X: np.ndarray) -> np.ndarray:
-    return (classifier.proba_matrix(X) >= 0.5).astype(int)
+def favorable(p):
+    """The decision rule: 1 (favorable) iff the favorable-class probability is >= 0.5.
+
+    Works elementwise on arrays; a probability exactly on 0.5 is favorable.
+    """
+    return (np.asarray(p) >= 0.5).astype(int)
 
 
 def reweighting_weights(train: Dataset, domains: ProtectedDomains) -> np.ndarray:
@@ -286,7 +284,7 @@ def save_model(model, path) -> None:
         "schema": model.schema.to_dict(),
         "encoding": blocks,
         "params": model.params_dict(),
-        "meta": {k: v for k, v in model.meta.items() if k != "loss_history"},
+        "meta": model.meta,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

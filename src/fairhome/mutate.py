@@ -145,15 +145,3 @@ def generate_mutants(
         mutants.append(Instance(tuple(values)))
     return MutantSet(original=instance, mutants=tuple(mutants), strategy=strategy)
 
-
-def dump_mutants_csv(mutant_sets, schema, path) -> None:
-    """Audit dump: one row per (original | mutant) instance."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set_index", "role", *schema.names()])
-        for k, ms in enumerate(mutant_sets):
-            writer.writerow([k, "original", *ms.original.values])
-            for m in ms.mutants:
-                writer.writerow([k, "mutant", *m.values])

@@ -14,7 +14,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .metrics import (
 from .model import (
     DEFAULT_HIDDEN_LAYERS,
     TrainConfig,
-    decisions_matrix,
+    favorable,
     fit_logistic,
     fit_mlp,
     reweighting_weights,
@@ -114,6 +114,10 @@ class ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         train_raw = raw.pop("train", {})
+        for where, given, known in (("config", raw, cls), ("train", train_raw, TrainConfig)):
+            unknown = sorted(set(given) - {f.name for f in fields(known)})
+            if unknown:
+                raise UsageError(f"{path}: unknown {where} key(s) {unknown}")
         raw.update({k: v for k, v in overrides.items() if v is not None})
         kwargs = dict(raw)
         kwargs["train"] = TrainConfig(**train_raw)
@@ -155,11 +159,7 @@ class FaireaCase:
     region: str
 
     def to_row(self) -> dict:
-        return {
-            "task": self.task, "method": self.method, "repetition": self.repetition,
-            "fairness_metric": self.fairness_metric,
-            "performance_metric": self.performance_metric, "region": self.region,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -168,15 +168,13 @@ class ExperimentResult:
     fairea_cases: list
 
 
-def _method_predictions(method, model, rew_model, test, domains, corr):
+def _method_predictions(method, model, test, domains, corr):
+    """Test-set decisions of ``method``; ``model`` is the reweighted one for rew."""
     from .data import encode_matrix
 
-    if method == "original":
+    if method in ("original", "rew"):
         X = encode_matrix(test.instances(), test.schema, model.encoding)
-        return decisions_matrix(model, X)
-    if method == "rew":
-        X = encode_matrix(test.instances(), test.schema, rew_model.encoding)
-        return decisions_matrix(rew_model, X)
+        return favorable(model.proba_matrix(X))
     mutation, strategy = FAIRHOME_VARIANTS[method]
     if method == "fairhome5" and len(domains.schema.protected) == 2:
         # a single multi-attribute mutant leaves only two voters; vote ties are
@@ -250,7 +248,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             try:
                 if method == "rew" and rew_error is not None:
                     raise UsageError(f"reweighted training failed: {rew_error}")
-                y_pred = _method_predictions(method, model, rew_model, test, domains, corr)
+                y_pred = _method_predictions(method, active, test, domains, corr)
                 preds = labeled.with_predictions(y_pred)
                 record.report = compute_report(preds)
                 rep_reports[method] = record.report
@@ -411,8 +409,8 @@ def write_tables(output_dir, rows, wtl_rows, case_rows) -> dict:
                 "absolute_change", "relative_change_pct"])
     if wtl_rows:
         paths["wtl"] = os.path.join(output_dir, "win_tie_loss.csv")
-        fields = ["metric"] + sorted({k for r in wtl_rows for k in r} - {"metric"})
-        _write_csv(paths["wtl"], wtl_rows, fields)
+        columns = ["metric"] + sorted({k for r in wtl_rows for k in r} - {"metric"})
+        _write_csv(paths["wtl"], wtl_rows, columns)
     if case_rows is not None:
         paths["regions"] = os.path.join(output_dir, "region_distribution.csv")
         _write_csv(paths["regions"], region_distribution(case_rows),
@@ -435,9 +433,7 @@ def emit_report(records, fairea_cases, wtl_rows, output_dir) -> dict:
     case_rows = [c.to_row() for c in fairea_cases] or None
     if case_rows:
         paths["fairea_cases"] = os.path.join(output_dir, "fairea_regions.csv")
-        _write_csv(paths["fairea_cases"], case_rows,
-                   ["task", "method", "repetition", "fairness_metric",
-                    "performance_metric", "region"])
+        _write_csv(paths["fairea_cases"], case_rows, [f.name for f in fields(FaireaCase)])
     paths.update(write_tables(output_dir, rows, wtl_rows, case_rows))
     return paths
 

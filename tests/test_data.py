@@ -44,6 +44,14 @@ def test_load_missing_protected_column(tmp_path, two_protected_schema):
         load_dataset(p, two_protected_schema)
 
 
+def test_load_rejects_duplicate_header_columns(tmp_path, two_protected_schema):
+    p = tmp_path / "d.csv"
+    write_csv(p, ["sex", "sex", "race", "score", "job", "outcome"],
+              [["M", "F", "W", 1.0, "a", "yes"]])
+    with pytest.raises(SchemaError, match=r"duplicate header columns \['sex'\]"):
+        load_dataset(p, two_protected_schema)
+
+
 def test_load_rejects_multiclass_and_bad_cells(tmp_path, two_protected_schema):
     p = tmp_path / "d.csv"
     write_csv(p, HEADER, [["M", "W", 1.0, "a", "yes"], ["F", "W", 2.0, "a", "no"],

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairhome.data import Instance, protected_domains
 from fairhome.ensemble import (
@@ -11,6 +13,7 @@ from fairhome.ensemble import (
     fairhome_predict,
 )
 from fairhome.errors import UsageError
+from fairhome.model import favorable
 from fairhome.mutate import MutationStrategy
 
 from conftest import make_dataset, make_schema
@@ -66,8 +69,40 @@ def test_aggregate_permutation_invariant(rng):
 
 
 def test_decisions_consistent_with_probabilities():
-    inputs = EnsembleInputs((0.49, 0.5, 0.51))
-    assert inputs.decisions == (0, 1, 1)
+    assert favorable((0.49, 0.5, 0.51)).tolist() == [0, 1, 1]
+    assert favorable(0.5) == 1 and favorable(0.49) == 0
+
+
+def _reference_aggregate(p, strategy):
+    """The per-strategy formulas written out one by one, each with its own rule."""
+    p = np.asarray(p, dtype=float)
+    if strategy is EnsembleStrategy.MAJORITY_VOTE:
+        unfavorable = int((p < 0.5).sum())
+        # unfavorable only when strictly more than half the votes are unfavorable
+        return 0 if 2 * unfavorable > len(p) else 1
+    if strategy is EnsembleStrategy.AVERAGING:
+        return 1 if p.mean() >= 0.5 else 0
+    w = np.abs(p - 0.5)
+    total = w.sum()
+    combined = p.mean() if total == 0.0 else float((w * p).sum() / total)
+    return 1 if combined >= 0.5 else 0
+
+
+_member = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                    st.floats(0.0, 1.0, allow_nan=False))
+_below = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True))
+_at_or_above = st.one_of(st.just(0.5), st.floats(0.5, 1.0))
+# k votes each way: the majority-vote tie
+_half_split = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(_below, min_size=k, max_size=k), st.lists(_at_or_above, min_size=k, max_size=k),
+)).map(lambda halves: halves[0] + halves[1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.lists(_member, min_size=1, max_size=9), _half_split),
+       st.sampled_from(list(EnsembleStrategy)))
+def test_aggregate_matches_per_strategy_reference(p, strategy):
+    assert aggregate(EnsembleInputs(tuple(p)), strategy) == _reference_aggregate(p, strategy)
 
 
 def test_averaging_agrees_with_weighted_when_equidistant(rng):
@@ -136,12 +171,3 @@ def test_single_combo_degrades_to_plain_decision():
     for strategy in EnsembleStrategy:
         assert fairhome_predict(clf, ds.instance(0), dom, ensemble=strategy) == 0
 
-
-def test_audit_callback_receives_members():
-    schema, ds, dom = _four_combo_domains()
-    clf = RuleClassifier(schema, lambda inst: 0.7)
-    seen = []
-    fairhome_predict(clf, ds.instance(0), dom, audit=seen.append)
-    assert len(seen) == 1
-    assert len(seen[0]["probabilities"]) == 4
-    assert seen[0]["decision"] == 1

@@ -172,10 +172,27 @@ def test_gradient_checks_logistic_and_mlp(rng):
 
 
 def test_full_batch_loss_non_increasing():
+    # full-batch descent draws no batch order, so a k-epoch fit is the first k
+    # epochs of a longer one and its loss is the loss after epoch k
     ds = separable_dataset()
-    cfg = TrainConfig(learning_rate=1e-3, epochs=50, batch_size=None, seed=0)
-    for fit in (fit_logistic, lambda d, c: fit_mlp(d, c, hidden_layers=(4, 4))):
-        history = fit(ds, cfg).meta["loss_history"]
+    y = np.asarray(ds.labels, dtype=float)
+    ones = np.ones(len(ds))
+    l2 = 1e-4
+
+    def logistic_loss(m, X):
+        return logistic_loss_grad(m.weights, m.bias, X, y, ones, l2)[0]
+
+    def mlp_loss(m, X):
+        return mlp_loss_grad(m.layer_weights, m.layer_biases, X, y, ones, l2)[0]
+
+    for fit, loss in ((fit_logistic, logistic_loss),
+                      (lambda d, c: fit_mlp(d, c, hidden_layers=(4, 4)), mlp_loss)):
+        history = []
+        for epochs in range(1, 51):
+            cfg = TrainConfig(learning_rate=1e-3, epochs=epochs, batch_size=None,
+                              l2_penalty=l2, seed=0)
+            model = fit(ds, cfg)
+            history.append(loss(model, encode_matrix(ds.instances(), ds.schema, model.encoding)))
         diffs = np.diff(history)
         assert (diffs <= 1e-12).all()
 

@@ -85,19 +85,6 @@ def test_exhaustive_union_property(rng):
         assert len(tuples) == len(ms.mutants)  # no duplicates
 
 
-def test_debug_dump_csv(tmp_path):
-    from fairhome.mutate import dump_mutants_csv
-
-    ds, dom = two_attr_domains()
-    sets = [generate_mutants(inst, dom, MutationStrategy.PROTECTED_ONLY)
-            for inst in ds.instances()[:2]]
-    path = tmp_path / "mutants.csv"
-    dump_mutants_csv(sets, ds.schema, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("set_index,role,sex")
-    assert len(lines) == 1 + 2 * 4  # 2 sets x (1 original + 3 mutants)
-
-
 def test_correlated_requires_model():
     ds, dom = two_attr_domains()
     with pytest.raises(UsageError):

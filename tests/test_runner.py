@@ -58,7 +58,7 @@ def test_rew_refits_model(tmp_path):
 def test_original_record_matches_direct_evaluation(tmp_path):
     from fairhome.data import Schema, load_dataset, split, encode_matrix
     from fairhome.metrics import LabeledPredictions, compute_report
-    from fairhome.model import TrainConfig, decisions_matrix, fit_logistic
+    from fairhome.model import TrainConfig, favorable, fit_logistic
 
     config = small_config(tmp_path, repetitions=1)
     result = run_experiment(config)
@@ -69,7 +69,7 @@ def test_original_record_matches_direct_evaluation(tmp_path):
     train, test = split(ds, config.test_fraction, config.base_seed)
     model = fit_logistic(train, TrainConfig(seed=config.base_seed))
     X = encode_matrix(test.instances(), schema, model.encoding)
-    direct = compute_report(LabeledPredictions.from_dataset(test, decisions_matrix(model, X)))
+    direct = compute_report(LabeledPredictions.from_dataset(test, favorable(model.proba_matrix(X))))
     assert record.report.to_flat_dict() == direct.to_flat_dict()
 
 
@@ -293,24 +293,43 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 
 
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    """Bad Fairea settings and unknown config keys: exit 2 before loading any data."""
     import fairhome.runner
 
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
+    def no_loading(*args, **kwargs):
+        raise AssertionError("data loaded")
+
     monkeypatch.setattr(fairhome.runner, "fit_logistic", no_training)
+    monkeypatch.setattr(fairhome.runner, "load_dataset", no_loading)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
+    base = {
         "dataset_path": str(FIXTURES / "german_synth.csv"),
         "schema_path": str(FIXTURES / "german_synth.schema.json"),
         "methods": ["original", "fairhome"],
         "repetitions": 1,
-        "fairea_reps": 0,
         "output_dir": str(tmp_path / "out"),
-    }))
-    capsys.readouterr()
-    assert cli_main(["run", "--config", str(config_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "reps must be" in captured.err
-    assert not (tmp_path / "out").exists()
+    }
+    for bad, message in (({"fairea_reps": 0}, "reps must be"),
+                         ({"modle_kind": "mlp"}, "unknown config key(s) ['modle_kind']"),
+                         ({"train": {"epoch": 3}}, "unknown train key(s) ['epoch']")):
+        config_path.write_text(json.dumps({**base, **bad}))
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
+    preds_path = tmp_path / "preds.csv"
+    for bad_line in ("x,1,M", "1,,M", "1"):
+        preds_path.write_text("\n".join(["y_true,y_pred,sex", "1,0,M", bad_line, "0,1,F"]) + "\n")
+        capsys.readouterr()
+        assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "line 3: " in captured.err
