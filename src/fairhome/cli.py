@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .data import SubgroupKey
-from .errors import UsageError
+from .errors import MetricUndefinedError, UsageError
 from .metrics import LabeledPredictions, compute_report
 from .runner import (
     ExperimentConfig,
@@ -72,12 +72,11 @@ def cmd_metrics(args) -> int:
             return 2
         y_true, y_pred, groups = [], [], {a: [] for a in protected}
         for row in reader:
-            try:
-                y_true.append(int(row["y_true"]))
-                y_pred.append(int(row["y_pred"]))
-            except (TypeError, ValueError):  # TypeError: the row is short of a cell
+            if row["y_true"] not in ("0", "1") or row["y_pred"] not in ("0", "1"):
                 raise UsageError(f"line {reader.line_num}: y_true and y_pred must be "
-                                 f"integers, got {row['y_true']!r}, {row['y_pred']!r}") from None
+                                 f"0 or 1, got {row['y_true']!r}, {row['y_pred']!r}")
+            y_true.append(int(row["y_true"]))
+            y_pred.append(int(row["y_pred"]))
             for a in protected:
                 groups[a].append(row[a])
 
@@ -89,7 +88,10 @@ def cmd_metrics(args) -> int:
         y_true=np.array(y_true), y_pred=np.array(y_pred),
         subgroup_of=subgroups, single_group_of={a: tuple(v) for a, v in groups.items()},
     )
-    flat = compute_report(data).to_flat_dict()
+    try:
+        flat = compute_report(data).to_flat_dict()
+    except MetricUndefinedError as e:
+        raise UsageError(f"{args.predictions}: {e}") from None
     if args.json:
         print(json.dumps(flat, indent=2))
     else:

@@ -1,5 +1,16 @@
 """Aggregate classifier outputs on an input and its mutants into one decision.
 
+``fairhome_predict`` takes one ``Instance`` (and returns an int) or a sequence
+of them (and returns an array). A classifier with ``encoding`` and
+``proba_matrix`` (both trained models) takes the batch engine: the inputs are
+encoded once, each mutant row is its input's row with the protected one-hot
+columns (and, for correlated-features mutation, the numeric ones) rewritten,
+and one ``proba_matrix`` call scores every row into an (inputs, 1 +
+combinations) matrix from which each variant reads its members. Any other
+classifier, such as a deployed black box with only ``predict_proba(instance)``,
+is asked once per member built by ``generate_mutants``; that path is also the
+engine's reference.
+
 Tie conventions follow the decision rule "below 50% is unfavorable, otherwise
 favorable": a probability (or vote split) landing exactly on the boundary
 resolves to the favorable class.
@@ -9,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
-from .data import Instance, ProtectedDomains
+from .data import CategoricalBlock, Instance, ProtectedDomains, encode_matrix
 from .errors import UsageError
 from .model import favorable
-from .mutate import CorrelationModel, MutationStrategy, generate_mutants
+from .mutate import CorrelationModel, MutationStrategy, generate_mutants, mutant_positions
 
 
 class EnsembleStrategy(Enum):
@@ -38,38 +50,121 @@ class EnsembleInputs:
                 raise UsageError(f"probability {p} outside [0, 1]")
 
 
-def aggregate(inputs: EnsembleInputs, strategy: EnsembleStrategy) -> int:
-    """Combine member probabilities into a single {0,1} decision.
+def _decide(P: np.ndarray, strategy: EnsembleStrategy) -> np.ndarray:
+    """Row-wise decisions of a (rows, members) probability block.
 
-    Each strategy reduces the members to one score in [0, 1] and ``favorable``
-    turns that score into the decision. The majority-vote score is the share of
+    Each strategy reduces a row to one score in [0, 1] and ``favorable`` turns
+    that score into the decision. The majority-vote score is the share of
     favorable votes, so a vote split exactly in half is favorable.
     """
-    p = np.asarray(inputs.probabilities, dtype=float)
     if strategy is EnsembleStrategy.MAJORITY_VOTE:
-        score = np.count_nonzero(favorable(p)) / len(p)
+        score = np.count_nonzero(favorable(P), axis=1) / P.shape[1]
     elif strategy is EnsembleStrategy.AVERAGING:
-        score = p.mean()
+        score = P.mean(axis=1)
     elif strategy is EnsembleStrategy.WEIGHTED_AVERAGING:
-        w = np.abs(p - 0.5)
-        total = w.sum()
+        w = np.abs(P - 0.5)
+        total = w.sum(axis=1)
         # every member on the boundary leaves the weighted mean undefined
-        score = p.mean() if total == 0.0 else (w * p).sum() / total
+        score = np.divide((w * P).sum(axis=1), total, out=P.mean(axis=1), where=total != 0.0)
     else:
         raise UsageError(f"unknown ensemble strategy {strategy!r}")
-    return int(favorable(score))
+    return favorable(score)
 
 
-def fairhome_predict(
-    classifier,
-    instance: Instance,
-    domains: ProtectedDomains,
-    mutation: MutationStrategy = MutationStrategy.PROTECTED_ONLY,
-    ensemble: EnsembleStrategy = EnsembleStrategy.MAJORITY_VOTE,
-    corr: CorrelationModel | None = None,
-) -> int:
-    """Ensemble decision over the original input and all its mutants."""
+def aggregate(inputs: EnsembleInputs, strategy: EnsembleStrategy) -> int:
+    """Combine member probabilities into a single {0,1} decision."""
+    p = np.asarray(inputs.probabilities, dtype=float)
+    return int(_decide(p[None, :], strategy)[0])
+
+
+def member_probabilities(classifier, instances, domains: ProtectedDomains,
+                         corr: CorrelationModel | None = None) -> np.ndarray:
+    """(N, 1 + C) favorable-class probabilities of N instances and their mutants.
+
+    Column 0 scores each instance as given; column 1 + j scores it with its
+    protected values replaced by ``domains.joint_combos[j]`` and, when ``corr``
+    is given, its numeric features shifted and clamped as correlated-features
+    mutation does. The classifier needs ``encoding`` and ``proba_matrix``.
+    """
+    schema, combos, encoding = domains.schema, domains.joint_combos, classifier.encoding
+    starts = [0, *accumulate(len(b.levels) if isinstance(b, CategoricalBlock) else 1
+                             for b in encoding.blocks)]
+    rewrite = np.zeros((1 + len(combos), encoding.dim), dtype=bool)
+    template = np.zeros(rewrite.shape)
+    for a, i in enumerate(schema.protected_indices):
+        block, start = encoding.blocks[i], starts[i]
+        rewrite[1:, start:start + len(block.levels)] = True
+        for c, combo in enumerate(combos, start=1):
+            j = block.offsets.get(combo[a])
+            if j is not None:  # a level the encoding lacks stays an all-zero block
+                template[c, start + j] = 1.0
+    X = encode_matrix(instances, schema, encoding)
+    rows = np.where(rewrite, template, X[:, None, :])  # (N, 1 + C, dim)
+
+    if corr is not None:
+        own = [domains.combo_of(inst) for inst in instances]
+        for feature in corr.coefficients:
+            i = schema.index_of(feature)
+            target = np.array([corr.predict(feature, c) for c in combos])
+            own_target = {o: corr.predict(feature, o) for o in set(own)}
+            origin = np.array([own_target[o] for o in own])
+            raw = np.array([inst.values[i] for inst in instances], dtype=float)
+            lo, hi = corr.ranges[feature]
+            shifted = np.clip(raw[:, None] + (target - origin[:, None]), lo, hi)
+            block = encoding.blocks[i]
+            span = block.hi - block.lo
+            scaled = np.zeros_like(shifted) if span == 0 else (shifted - block.lo) / span
+            rows[:, 1:, starts[i]] = np.clip(scaled, 0.0, 1.0)  # as encode scales
+
+    return classifier.proba_matrix(rows.reshape(-1, encoding.dim)).reshape(rows.shape[:2])
+
+
+def _decide_encoded(classifier, instances, domains, mutation, ensemble, corr) -> np.ndarray:
+    """The batch engine: one probability matrix, reduced per own-combination group."""
+    if mutation is MutationStrategy.CORRELATED_FEATURES and corr is None:
+        raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
+    shift = corr if mutation is MutationStrategy.CORRELATED_FEATURES else None
+    P = member_probabilities(classifier, instances, domains, shift)
+    groups: dict = {}
+    for r, inst in enumerate(instances):
+        groups.setdefault(domains.combo_of(inst), []).append(r)
+    decisions = np.empty(len(instances), dtype=int)
+    for own, rows in groups.items():
+        # the original first, then its mutants in generate_mutants order
+        columns = [0, *(1 + j for j in mutant_positions(own, domains, mutation))]
+        decisions[rows] = _decide(P[np.ix_(rows, columns)], ensemble)
+    return decisions
+
+
+def _decide_one(classifier, instance, domains, mutation, ensemble, corr) -> int:
+    """The black-box path: one ``predict_proba`` call per member."""
     mutant_set = generate_mutants(instance, domains, mutation, corr)
     members = [instance, *mutant_set.mutants]
     probabilities = tuple(classifier.predict_proba(m) for m in members)
     return aggregate(EnsembleInputs(probabilities), ensemble)
+
+
+def fairhome_predict(
+    classifier,
+    instances,
+    domains: ProtectedDomains,
+    mutation: MutationStrategy = MutationStrategy.PROTECTED_ONLY,
+    ensemble: EnsembleStrategy = EnsembleStrategy.MAJORITY_VOTE,
+    corr: CorrelationModel | None = None,
+):
+    """Ensemble decision over each input and all its mutants.
+
+    ``instances`` is one ``Instance`` (returns an int) or a sequence of them
+    (returns an int array). Classifiers with ``encoding`` and ``proba_matrix``
+    take the batch engine; others are asked one member at a time.
+    """
+    single = isinstance(instances, Instance)
+    batch = [instances] if single else list(instances)
+    if hasattr(classifier, "encoding") and hasattr(classifier, "proba_matrix"):
+        decisions = _decide_encoded(classifier, batch, domains, mutation, ensemble, corr)
+    else:
+        decisions = np.array(
+            [_decide_one(classifier, inst, domains, mutation, ensemble, corr) for inst in batch],
+            dtype=int,
+        )
+    return int(decisions[0]) if single else decisions

@@ -8,12 +8,12 @@ the delta predicted from the protected attributes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, Instance, ProtectedDomains, protected_domains
+from .data import NUMERIC, Dataset, Instance, ProtectedDomains, protected_domains
 from .errors import UsageError
 
 
@@ -107,6 +107,22 @@ def _hamming(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
+def mutant_positions(original_combo, domains: ProtectedDomains,
+                     strategy: MutationStrategy) -> list:
+    """Positions in ``domains.joint_combos`` of the combinations an input with
+    ``original_combo`` mutates into, in order.
+
+    Every observed combination but the original's own; the single-attribute
+    (multi-attribute) strategy keeps those at Hamming distance 1 (2 or more).
+    """
+    positions = [j for j, c in enumerate(domains.joint_combos) if c != original_combo]
+    if strategy is MutationStrategy.SINGLE_ATTRIBUTE_ONLY:
+        return [j for j in positions if _hamming(domains.joint_combos[j], original_combo) == 1]
+    if strategy is MutationStrategy.MULTI_ATTRIBUTE_ONLY:
+        return [j for j in positions if _hamming(domains.joint_combos[j], original_combo) >= 2]
+    return positions
+
+
 def generate_mutants(
     instance: Instance,
     domains: ProtectedDomains,
@@ -125,14 +141,9 @@ def generate_mutants(
     p_idx = schema.protected_indices
     original_combo = domains.combo_of(instance)
 
-    candidates = [c for c in domains.joint_combos if c != original_combo]
-    if strategy is MutationStrategy.SINGLE_ATTRIBUTE_ONLY:
-        candidates = [c for c in candidates if _hamming(c, original_combo) == 1]
-    elif strategy is MutationStrategy.MULTI_ATTRIBUTE_ONLY:
-        candidates = [c for c in candidates if _hamming(c, original_combo) >= 2]
-
     mutants = []
-    for combo in candidates:
+    for j in mutant_positions(original_combo, domains, strategy):
+        combo = domains.joint_combos[j]
         values = list(instance.values)
         for i, v in zip(p_idx, combo):
             values[i] = v
@@ -144,4 +155,3 @@ def generate_mutants(
                 values[i] = min(hi, max(lo, values[i] + delta))
         mutants.append(Instance(tuple(values)))
     return MutantSet(original=instance, mutants=tuple(mutants), strategy=strategy)
-

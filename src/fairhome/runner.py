@@ -111,10 +111,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        train_raw = raw.pop("train", {})
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as e:
+            raise UsageError(f"{path}: {e.strerror}") from None
+        except ValueError as e:  # not JSON, or not text
+            raise UsageError(f"{path}: not a JSON file ({e})") from None
+        train_raw = raw.pop("train", {}) if isinstance(raw, dict) else None
         for where, given, known in (("config", raw, cls), ("train", train_raw, TrainConfig)):
+            if not isinstance(given, dict):
+                raise UsageError(f"{path}: {where} must be a JSON object, "
+                                 f"not {type(given).__name__}")
             unknown = sorted(set(given) - {f.name for f in fields(known)})
             if unknown:
                 raise UsageError(f"{path}: unknown {where} key(s) {unknown}")
@@ -185,14 +193,14 @@ def _method_predictions(method, model, test, domains, corr):
             stacklevel=2,
         )
         strategy = EnsembleStrategy.AVERAGING
-    return np.array([
-        fairhome_predict(model, inst, domains, mutation, strategy, corr)
-        for inst in test.instances()
-    ])
+    return fairhome_predict(model, test.instances(), domains, mutation, strategy, corr)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full matrix and classify every mitigation case against Fairea."""
+    for path in (config.schema_path, config.dataset_path):
+        if not os.path.isfile(path):
+            raise UsageError(f"no such file: {path}")
     schema = Schema.from_json(config.schema_path)
     dataset = load_dataset(config.dataset_path, schema)
     hidden = DEFAULT_HIDDEN_LAYERS if config.paper_arch else DESK_HIDDEN_LAYERS

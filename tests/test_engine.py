@@ -1,0 +1,205 @@
+"""The batch ensemble engine against the per-member reference path.
+
+A trained model exposes ``encoding`` and ``proba_matrix`` and so takes the
+engine; the same model behind a ``predict_proba``-only wrapper takes the
+reference path (``generate_mutants`` -> ``predict_proba`` -> ``aggregate``).
+"""
+
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairhome.ensemble
+from fairhome.data import (AttributeSpec, Dataset, Instance, Schema, build_encoding, load_dataset,
+                           protected_domains, split)
+from fairhome.ensemble import EnsembleStrategy, fairhome_predict, member_probabilities
+from fairhome.errors import UsageError
+from fairhome.model import LogisticModel, MlpModel, TrainConfig, fit_logistic, fit_mlp
+from fairhome.mutate import MutationStrategy, fit_extrapolation_models, generate_mutants
+from fairhome.runner import DESK_HIDDEN_LAYERS, FAIRHOME_VARIANTS, _method_predictions
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+class BlackBox:
+    """A model seen only through ``predict_proba(instance)``, as when deployed."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_proba(self, instance):
+        return self.model.predict_proba(instance)
+
+
+def _weights(rng, shape, integral, numeric_inputs=()):
+    """Real weights, or integers in {-1, 0, 1} with the numeric input rows zeroed,
+    so that every logit is an exact integer: many members land exactly on 0.5
+    and votes split k-vs-k."""
+    if not integral:
+        return rng.normal(0.0, 1.5, shape)
+    w = rng.integers(-1, 2, shape).astype(float)
+    for i in numeric_inputs:
+        w[i] = 0.0
+    return w
+
+
+@st.composite
+def cases(draw):
+    """A random schema and training set, a random model and probe instances."""
+    n_protected = draw(st.integers(1, 3))
+    n_numeric = draw(st.integers(1, 2))
+    with_category = draw(st.booleans())
+    single_combo = draw(st.integers(0, 3)) == 0
+    integral = draw(st.booleans())
+    mlp = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    protected = tuple(f"p{i}" for i in range(n_protected))
+    attrs = [AttributeSpec(p, "categorical") for p in protected]
+    attrs += [AttributeSpec(f"x{i}", "numeric") for i in range(n_numeric)]
+    if with_category:
+        attrs.append(AttributeSpec("c", "categorical"))
+    schema = Schema(attributes=tuple(attrs), protected=protected,
+                    label_column="y", favorable_value="1")
+    levels = {p: [f"{p}v{j}" for j in range(rng.choice([1, 2, 3], p=[0.15, 0.45, 0.4]))]
+              for p in protected}
+
+    def row(combo=None, lo=0.0, hi=10.0):
+        combo = combo or tuple(str(rng.choice(levels[p])) for p in protected)
+        numerics = tuple(float(np.round(rng.uniform(lo, hi), 2)) for _ in range(n_numeric))
+        return combo + numerics + ((str(rng.choice(["a", "b"])),) if with_category else ())
+
+    n = int(rng.integers(4, 25))
+    fixed = row()[:n_protected] if single_combo else None
+    rows = [row(fixed) for _ in range(n)]
+    train = Dataset(schema=schema, rows=rows, labels=[i % 2 for i in range(n)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        domains = protected_domains(train)
+    # the model never saw some of the domain's levels: their one-hot blocks are all zero
+    encoding = build_encoding(Dataset(schema=schema, rows=rows[: n // 2], labels=[]))
+    numeric_attrs = [i for i, a in enumerate(attrs) if a.kind == "numeric"]
+    numeric_cols = []
+    pos = 0
+    for block in encoding.blocks:
+        if hasattr(block, "levels"):
+            pos += len(block.levels)
+        else:
+            numeric_cols.append(pos)
+            pos += 1
+    if mlp:
+        hidden = int(rng.integers(1, 4))
+        model = MlpModel(
+            layer_weights=[_weights(rng, (encoding.dim, hidden), integral, numeric_cols),
+                           _weights(rng, (hidden, 1), integral)],
+            layer_biases=[_weights(rng, (hidden,), integral), _weights(rng, (1,), integral)],
+            encoding=encoding, schema=schema)
+    else:
+        model = LogisticModel(weights=_weights(rng, encoding.dim, integral, numeric_cols),
+                              bias=float(_weights(rng, (), integral)),
+                              encoding=encoding, schema=schema)
+
+    probes = [Instance(r) for r in rows[:5]]
+    probes += [Instance(row()) for _ in range(4)]  # combos that may be unseen
+    lo = [min(r[i] for r in rows) for i in numeric_attrs]
+    hi = [max(r[i] for r in rows) for i in numeric_attrs]
+    for values in (lo, hi, [v - 5.0 for v in lo], [v + 5.0 for v in hi]):
+        cells = list(row())
+        for i, v in zip(numeric_attrs, values):
+            cells[i] = v
+        probes.append(Instance(tuple(cells)))
+    unseen_level = list(row())
+    unseen_level[int(rng.integers(0, n_protected))] = "never-seen"
+    probes.append(Instance(tuple(unseen_level)))
+    order = rng.permutation(len(probes))
+    # the shift model's numeric ranges differ from the encoding's, so both the
+    # clamp to the shift model's range and the encoding's clamp to [0, 1] matter
+    lo, hi = sorted(rng.uniform(-5.0, 15.0, 2))
+    shift_rows = [row(fixed, lo, hi) for _ in range(n)]
+    corr = fit_extrapolation_models(Dataset(schema=schema, rows=shift_rows, labels=[0] * n))
+    return model, domains, corr, [probes[i] for i in order]
+
+
+@settings(deadline=None, max_examples=150)
+@given(cases())
+def test_engine_decisions_equal_reference_for_batches_and_single_rows(case):
+    model, domains, corr, probes = case
+    box = BlackBox(model)
+    for mutation in MutationStrategy:
+        for ensemble in EnsembleStrategy:
+            args = (domains, mutation, ensemble, corr)
+            reference = fairhome_predict(box, probes, *args)
+            batch = fairhome_predict(model, probes, *args)
+            singles = [fairhome_predict(model, inst, *args) for inst in probes]
+            assert isinstance(batch, np.ndarray) and batch.dtype.kind == "i"
+            assert all(type(d) is int for d in singles)
+            assert batch.tolist() == reference.tolist() == singles
+
+
+@settings(deadline=None, max_examples=150)
+@given(cases())
+def test_member_probabilities_equal_per_mutant_scores(case):
+    model, domains, corr, probes = case
+    combos = domains.joint_combos
+    for mutation, shift in ((MutationStrategy.PROTECTED_ONLY, None),
+                            (MutationStrategy.CORRELATED_FEATURES, corr)):
+        P = member_probabilities(model, probes, domains, shift)
+        assert P.shape == (len(probes), 1 + len(combos))
+        for i, inst in enumerate(probes):
+            mutants = generate_mutants(inst, domains, mutation, corr).mutants
+            columns = [0] + [1 + combos.index(domains.combo_of(m)) for m in mutants]
+            expected = [model.predict_proba(m) for m in (inst, *mutants)]
+            np.testing.assert_allclose(P[i, columns], expected, rtol=0, atol=1e-12)
+
+
+def _fixture_split(kind):
+    schema = Schema.from_json(FIXTURES / f"{kind}_synth.schema.json")
+    return split(load_dataset(FIXTURES / f"{kind}_synth.csv", schema), 0.3, 42)
+
+
+@pytest.mark.parametrize("kind", ["german", "compas"])
+@pytest.mark.parametrize("model_kind", ["logistic", "mlp"])
+def test_runner_variants_match_reference_on_fixtures(kind, model_kind):
+    train, test = _fixture_split(kind)
+    domains = protected_domains(train)
+    config = TrainConfig(seed=42)
+    model = (fit_logistic(train, config) if model_kind == "logistic"
+             else fit_mlp(train, config, hidden_layers=DESK_HIDDEN_LAYERS))
+    corr = fit_extrapolation_models(train)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the fairhome5 fallback on german
+        for method in FAIRHOME_VARIANTS:
+            fast = _method_predictions(method, model, test, domains, corr)
+            slow = _method_predictions(method, BlackBox(model), test, domains, corr)
+            assert fast.tolist() == slow.tolist(), method
+
+
+def test_engine_path_is_chosen_by_the_classifier(monkeypatch):
+    train, test = _fixture_split("german")
+    domains = protected_domains(train)
+    model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
+    reference = fairhome_predict(BlackBox(model), test.instances()[:20], domains)
+
+    def no_mutants(*args, **kwargs):
+        raise AssertionError("the engine built mutant instances")
+
+    monkeypatch.setattr(fairhome.ensemble, "generate_mutants", no_mutants)
+    assert fairhome_predict(model, test.instances()[:20], domains).tolist() == reference.tolist()
+    with pytest.raises(AssertionError):
+        fairhome_predict(BlackBox(model), test.instance(0), domains)
+
+
+def test_engine_edge_inputs():
+    train, _ = _fixture_split("german")
+    domains = protected_domains(train)
+    model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
+    for classifier in (model, BlackBox(model)):
+        empty = fairhome_predict(classifier, [], domains)
+        assert empty.shape == (0,) and empty.dtype.kind == "i"
+    with pytest.raises(UsageError, match="CorrelationModel"):
+        fairhome_predict(model, train.instances()[:3], domains,
+                         MutationStrategy.CORRELATED_FEATURES)

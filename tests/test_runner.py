@@ -293,7 +293,8 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 
 
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
-    """Bad Fairea settings and unknown config keys: exit 2 before loading any data."""
+    """Bad Fairea settings, unknown config keys, missing data files and config
+    files that are not a JSON object: exit 2 before loading any data."""
     import fairhome.runner
 
     def no_training(*args, **kwargs):
@@ -312,24 +313,46 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         "repetitions": 1,
         "output_dir": str(tmp_path / "out"),
     }
-    for bad, message in (({"fairea_reps": 0}, "reps must be"),
-                         ({"modle_kind": "mlp"}, "unknown config key(s) ['modle_kind']"),
-                         ({"train": {"epoch": 3}}, "unknown train key(s) ['epoch']")):
-        config_path.write_text(json.dumps({**base, **bad}))
+    missing = str(tmp_path / "missing.csv")
+    cases = [(json.dumps({**base, **bad}), message) for bad, message in (
+        ({"fairea_reps": 0}, "reps must be"),
+        ({"modle_kind": "mlp"}, "unknown config key(s) ['modle_kind']"),
+        ({"train": {"epoch": 3}}, "unknown train key(s) ['epoch']"),
+        ({"dataset_path": missing}, f"no such file: {missing}"),
+        ({"schema_path": missing}, f"no such file: {missing}"),
+        ({"train": 3}, f"{config_path}: train must be a JSON object, not int"),
+    )]
+    cases += [("[1, 2]", f"{config_path}: config must be a JSON object, not list"),
+              ('{"methods": ', f"{config_path}: not a JSON file")]
+    for text, message in cases:
+        config_path.write_text(text)
         capsys.readouterr()
         assert cli_main(["run", "--config", str(config_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
         assert not (tmp_path / "out").exists()
+    assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
+    assert f"{tmp_path / 'none.json'}: No such file" in capsys.readouterr().err
 
 
 def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
     preds_path = tmp_path / "preds.csv"
-    for bad_line in ("x,1,M", "1,,M", "1"):
+    for bad_line in ("x,1,M", "1,,M", "1", "2,1,M"):
         preds_path.write_text("\n".join(["y_true,y_pred,sex", "1,0,M", bad_line, "0,1,F"]) + "\n")
         capsys.readouterr()
         assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "line 3: " in captured.err
+        assert repr(bad_line.split(",")[0]) in captured.err
+
+
+def test_cli_metrics_undefined_metric_exits_2(tmp_path, capsys):
+    preds_path = tmp_path / "preds.csv"
+    preds_path.write_text("y_true,y_pred,sex\n1,0,M\n0,1,M\n")  # one subgroup only
+    assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{preds_path}: fewer than 2 subgroups with test rows" in captured.err
