@@ -39,7 +39,6 @@ from .model import (
     fit_logistic,
     fit_mlp,
     load_model,
-    predict_proba,
     reweighting_weights,
     save_model,
 )

@@ -17,10 +17,10 @@ from .runner import (
     ExperimentConfig,
     emit_report,
     read_records_csv,
+    require_files,
     run_experiment,
     write_manifest,
     write_tables,
-    wtl_matrix,
 )
 
 
@@ -33,9 +33,7 @@ def cmd_run(args) -> int:
         paper_arch=True if args.paper_arch else None,
     )
     result = run_experiment(config)
-    rows = [r.to_row() for r in result.records]
-    wtl = wtl_matrix(rows) if any(r.method == "fairhome" for r in result.records) else []
-    paths = emit_report(result.records, result.fairea_cases, wtl, config.output_dir)
+    paths = emit_report(result.records, result.fairea_cases, config.output_dir)
     paths["manifest"] = write_manifest(config, result.records, config.output_dir)
     failed = [r for r in result.records if r.error]
     for r in failed:
@@ -46,14 +44,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    require_files(args.records, *filter(None, [args.regions]))
     rows = read_records_csv(args.records)
     case_rows = None
     if args.regions:
         with open(args.regions, newline="", encoding="utf-8") as fh:
             case_rows = list(csv.DictReader(fh))
     os.makedirs(args.out, exist_ok=True)
-    wtl = wtl_matrix(rows) if any(r.get("method") == "fairhome" for r in rows) else []
-    for path in write_tables(args.out, rows, wtl, case_rows).values():
+    for path in write_tables(args.out, rows, case_rows).values():
         print(f"wrote {path}")
     return 0
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SchemaError, UsageError
+from .errors import DataError, SchemaError, ShapeError, UsageError
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -70,10 +70,6 @@ class Schema:
     @property
     def protected_indices(self) -> tuple[int, ...]:
         return tuple(self.index_of(p) for p in self.protected)
-
-    @property
-    def non_protected(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names() if n not in self.protected)
 
     def to_dict(self) -> dict:
         return {
@@ -306,9 +302,27 @@ def build_encoding(train: Dataset) -> EncodingMap:
     return EncodingMap(blocks=tuple(blocks), dim=dim)
 
 
+def check_instance(instance: Instance, schema: Schema) -> None:
+    """ShapeError unless ``instance`` has one value per schema attribute;
+    DataError for a numeric value that is not a finite number."""
+    if len(instance.values) != len(schema.attributes):
+        raise ShapeError(f"instance has {len(instance.values)} attributes, "
+                         f"schema expects {len(schema.attributes)}")
+    for value, attr in zip(instance.values, schema.attributes):
+        if attr.kind != NUMERIC:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # not a number at all
+            finite = False
+        if not finite:
+            raise DataError(f"{attr.name!r} needs a finite number, got {value!r}")
+
+
 def encode(instance: Instance, schema: Schema, encoding: EncodingMap) -> np.ndarray:
-    """Encode one instance; unseen categorical levels become an all-zero block,
-    numerics are clamped to the training range."""
+    """Encode one instance after ``check_instance``; unseen categorical levels
+    become an all-zero block, numerics are clamped to the training range."""
+    check_instance(instance, schema)
     out = np.zeros(encoding.dim)
     pos = 0
     for value, block in zip(instance.values, encoding.blocks):

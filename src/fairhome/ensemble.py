@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import CategoricalBlock, Instance, ProtectedDomains, encode_matrix
+from .data import CategoricalBlock, Instance, ProtectedDomains, check_instance, encode_matrix
 from .errors import UsageError
 from .model import favorable
 from .mutate import CorrelationModel, MutationStrategy, generate_mutants, mutant_positions
@@ -155,11 +155,14 @@ def fairhome_predict(
     """Ensemble decision over each input and all its mutants.
 
     ``instances`` is one ``Instance`` (returns an int) or a sequence of them
-    (returns an int array). Classifiers with ``encoding`` and ``proba_matrix``
-    take the batch engine; others are asked one member at a time.
+    (returns an int array), each first checked against ``domains.schema``.
+    Classifiers with ``encoding`` and ``proba_matrix`` take the batch engine;
+    others are asked one member at a time.
     """
     single = isinstance(instances, Instance)
     batch = [instances] if single else list(instances)
+    for instance in batch:
+        check_instance(instance, domains.schema)
     if hasattr(classifier, "encoding") and hasattr(classifier, "proba_matrix"):
         decisions = _decide_encoded(classifier, batch, domains, mutation, ensemble, corr)
     else:

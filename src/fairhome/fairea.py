@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -63,9 +64,10 @@ def majority_class(y_true) -> int:
 def check_curve_settings(degrees, reps: int) -> tuple:
     """Validated degrees (ascending, 0.0 to 1.0) for ``reps`` >= 1 repetitions."""
     degrees = tuple(degrees)
-    if not degrees or list(degrees) != sorted(degrees) or degrees[0] != 0.0 or degrees[-1] != 1.0:
-        raise UsageError("degrees must be ascending and span 0.0 to 1.0")
-    if not isinstance(reps, int) or reps < 1:
+    if (not all(isinstance(d, Real) for d in degrees) or list(degrees) != sorted(degrees)
+            or not degrees or degrees[0] != 0.0 or degrees[-1] != 1.0):
+        raise UsageError("degrees must be ascending numbers spanning 0.0 to 1.0")
+    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
         raise UsageError("reps must be an integer >= 1")
     return degrees
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,9 +26,22 @@ from .data import (
     encode,
     encode_matrix,
 )
-from .errors import ShapeError, TrainingError, UsageError
+from .errors import TrainingError, UsageError
 
 DEFAULT_HIDDEN_LAYERS = (64, 32, 16, 8, 4)
+# what each annotated type accepts in a config: a JSON number or list, not a bool
+_ACCEPTED = {float: Real, int: Integral, tuple: (tuple, list)}
+
+
+def check_field_types(config) -> None:
+    """UsageError naming the first field of the dataclass ``config`` whose value
+    does not have its annotated type; a bool passes only for a bool."""
+    for name, hint in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        kinds = tuple(_ACCEPTED.get(k, k) for k in typing.get_args(hint) or (hint,))
+        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+            raise UsageError(f"{name} must be {getattr(hint, '__name__', hint)}, "
+                             f"got {value!r}")
 
 
 @dataclass
@@ -39,6 +54,9 @@ class TrainConfig:
     instance_weights: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.instance_weights is not None:
+            self.instance_weights = np.asarray(self.instance_weights, dtype=float)
+        check_field_types(self)
         if self.learning_rate <= 0:
             raise UsageError("learning_rate must be positive")
         if self.epochs < 1:
@@ -47,11 +65,8 @@ class TrainConfig:
             raise UsageError("batch_size must be >= 1 or None")
         if self.l2_penalty < 0:
             raise UsageError("l2_penalty must be non-negative")
-        if self.instance_weights is not None:
-            w = np.asarray(self.instance_weights, dtype=float)
-            if (w <= 0).any():
-                raise UsageError("instance_weights must be positive")
-            self.instance_weights = w
+        if self.instance_weights is not None and (self.instance_weights <= 0).any():
+            raise UsageError("instance_weights must be positive")
 
 
 def sigmoid(z):
@@ -228,16 +243,6 @@ def fit_mlp(train: Dataset, config: TrainConfig, hidden_layers=DEFAULT_HIDDEN_LA
             "hidden_layers": tuple(hidden_layers)}
     return MlpModel(layer_weights=params[:n_layers], layer_biases=params[n_layers:],
                     encoding=encoding, schema=train.schema, meta=meta)
-
-
-def predict_proba(classifier, instance: Instance) -> float:
-    """Favorable-class probability; ``favorable`` turns it into the decision."""
-    if len(instance.values) != len(classifier.schema.attributes):
-        raise ShapeError(
-            f"instance has {len(instance.values)} attributes, "
-            f"classifier expects {len(classifier.schema.attributes)}"
-        )
-    return classifier.predict_proba(instance)
 
 
 def favorable(p):

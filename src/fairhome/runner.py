@@ -21,8 +21,8 @@ import numpy as np
 from .data import Dataset, Schema, load_dataset, protected_domains, split
 from .ensemble import EnsembleStrategy, fairhome_predict
 from .errors import UsageError
-from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, build_baseline, check_curve_settings,
-                     classify_case, mutation_curve)
+from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, TradeoffPoint, TradeoffRegion,
+                     build_baseline, check_curve_settings, classify_case, mutation_curve)
 from .metrics import (
     FAIRNESS_METRICS,
     PERFORMANCE_METRICS,
@@ -32,6 +32,7 @@ from .metrics import (
 from .model import (
     DEFAULT_HIDDEN_LAYERS,
     TrainConfig,
+    check_field_types,
     favorable,
     fit_logistic,
     fit_mlp,
@@ -51,6 +52,11 @@ FAIRHOME_VARIANTS = {
     "fairhome5": (MutationStrategy.MULTI_ATTRIBUTE_ONLY, EnsembleStrategy.MAJORITY_VOTE),
 }
 VALID_METHODS = ("original", *FAIRHOME_VARIANTS, "rew")
+# the leading columns of metrics.csv, ahead of the report's metric columns
+RECORD_HEAD = ("task", "method", "repetition", "seed", "model_fingerprint", "status", "error")
+REGIONS = tuple(r.value for r in TradeoffRegion)
+IMPROVEMENT_COLUMNS = ("task", "method", "metric", "original_mean", "method_mean",
+                       "absolute_change", "relative_change_pct")
 
 
 @dataclass
@@ -69,6 +75,7 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.model_kind not in ("logistic", "mlp"):
             raise UsageError(f"unknown model kind {self.model_kind!r}")
         for m in self.methods:
@@ -85,25 +92,11 @@ class ExperimentConfig:
         return f"{stem}-{self.model_kind}"
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_path": self.dataset_path,
-            "schema_path": self.schema_path,
-            "model_kind": self.model_kind,
-            "methods": list(self.methods),
-            "repetitions": self.repetitions,
-            "test_fraction": self.test_fraction,
-            "base_seed": self.base_seed,
-            "fairea_degrees": list(self.fairea_degrees),
-            "fairea_reps": self.fairea_reps,
-            "output_dir": self.output_dir,
-            "paper_arch": self.paper_arch,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "l2_penalty": self.train.l2_penalty,
-            },
-        }
+        """The fields as JSON values, without the train settings that each
+        repetition sets itself (``seed``, ``instance_weights``)."""
+        doc = asdict(self)
+        del doc["train"]["seed"], doc["train"]["instance_weights"]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -129,8 +122,6 @@ class ExperimentConfig:
         raw.update({k: v for k, v in overrides.items() if v is not None})
         kwargs = dict(raw)
         kwargs["train"] = TrainConfig(**train_raw)
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"])
         return cls(**kwargs)
 
 
@@ -145,13 +136,13 @@ class RunRecord:
     duration_s: float = 0.0
     error: str | None = None
 
+    @property
+    def status(self) -> str:
+        return "ok" if self.error is None else "failed"
+
     def to_row(self) -> dict:
-        row = {
-            "task": self.task, "method": self.method, "repetition": self.repetition,
-            "seed": self.seed, "model_fingerprint": self.model_fingerprint,
-            "status": "ok" if self.error is None else "failed",
-            "error": self.error or "",
-        }
+        row = {name: getattr(self, name) for name in RECORD_HEAD}
+        row["error"] = self.error or ""
         if self.report is not None:
             row.update(self.report.to_flat_dict())
         return row
@@ -196,11 +187,16 @@ def _method_predictions(method, model, test, domains, corr):
     return fairhome_predict(model, test.instances(), domains, mutation, strategy, corr)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full matrix and classify every mitigation case against Fairea."""
-    for path in (config.schema_path, config.dataset_path):
+def require_files(*paths) -> None:
+    """UsageError naming the first of ``paths`` that is not an existing file."""
+    for path in paths:
         if not os.path.isfile(path):
             raise UsageError(f"no such file: {path}")
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run the full matrix and classify every mitigation case against Fairea."""
+    require_files(config.schema_path, config.dataset_path)
     schema = Schema.from_json(config.schema_path)
     dataset = load_dataset(config.dataset_path, schema)
     hidden = DEFAULT_HIDDEN_LAYERS if config.paper_arch else DESK_HIDDEN_LAYERS
@@ -228,19 +224,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 ))
             continue
 
-        rew_model, rew_error = None, None
-        if "rew" in config.methods:
-            try:
-                rew_model = fit(replace(cfg, instance_weights=reweighting_weights(train, domains)))
-            except Exception as e:
-                rew_error = f"{type(e).__name__}: {e}"
-
-        corr = None
-        if "fairhome1" in config.methods:
-            try:
-                corr = fit_extrapolation_models(train)
-            except UsageError:
-                corr = None  # surfaces as a per-cell failure below
+        # fits that only one method needs; a failed fit is raised in its cells alone
+        prerequisites = {
+            "rew": lambda: fit(replace(cfg, instance_weights=reweighting_weights(train, domains))),
+            "fairhome1": lambda: fit_extrapolation_models(train),
+        }
+        fitted = {}
+        for method, fit_prerequisite in prerequisites.items():
+            if method in config.methods:
+                try:
+                    fitted[method] = fit_prerequisite()
+                except Exception as e:
+                    fitted[method] = e
 
         # the test split's group keys are factored once; each method scores a copy
         labeled = LabeledPredictions.from_dataset(test, test.labels)
@@ -248,14 +243,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         rep_preds: dict = {}
         for method in config.methods:
             start = time.perf_counter()
-            active = rew_model if method == "rew" else model
+            prerequisite = fitted.get(method)
+            active = prerequisite if method == "rew" else model
             record = RunRecord(
                 task=config.task_id, method=method, repetition=rep, seed=seed,
-                model_fingerprint=active.fingerprint() if active is not None else "",
+                model_fingerprint="" if isinstance(active, Exception) else active.fingerprint(),
             )
             try:
-                if method == "rew" and rew_error is not None:
-                    raise UsageError(f"reweighted training failed: {rew_error}")
+                if isinstance(prerequisite, Exception):
+                    raise prerequisite
+                corr = prerequisite if method == "fairhome1" else None
                 y_pred = _method_predictions(method, active, test, domains, corr)
                 preds = labeled.with_predictions(y_pred)
                 record.report = compute_report(preds)
@@ -274,47 +271,48 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _classify_rep(config, rep, rep_reports, original_preds, seed):
-    """Fairea-classify every mitigation method of one repetition."""
+    """Fairea-classify every mitigation method of one repetition.
+
+    Each (fairness, performance) baseline and original point is built once and
+    shared by every method.
+    """
     curve = mutation_curve(original_preds, config.fairea_degrees, config.fairea_reps, seed)
     original_flat = rep_reports["original"].to_flat_dict()
+    pairs = {
+        (fm, pm): (build_baseline(original_preds, fm, pm, config.fairea_degrees,
+                                  config.fairea_reps, seed, curve=curve),
+                   TradeoffPoint(original_flat[fm], original_flat[pm], fm, pm))
+        for fm in FAIRNESS_METRICS for pm in PERFORMANCE_METRICS
+    }
     cases = []
     for method, report in rep_reports.items():
         if method == "original":
             continue
         flat = report.to_flat_dict()
-        for fm in FAIRNESS_METRICS:
-            for pm in PERFORMANCE_METRICS:
-                baseline = build_baseline(
-                    original_preds, fm, pm, config.fairea_degrees,
-                    config.fairea_reps, seed, curve=curve,
-                )
-                method_point = _point(flat, fm, pm)
-                original_point = _point(original_flat, fm, pm)
-                region = classify_case(method_point, original_point, baseline)
-                cases.append(FaireaCase(
-                    task=config.task_id, method=method, repetition=rep,
-                    fairness_metric=fm, performance_metric=pm, region=region.value,
-                ))
+        for (fm, pm), (baseline, original_point) in pairs.items():
+            region = classify_case(TradeoffPoint(flat[fm], flat[pm], fm, pm),
+                                   original_point, baseline)
+            cases.append(FaireaCase(
+                task=config.task_id, method=method, repetition=rep,
+                fairness_metric=fm, performance_metric=pm, region=region.value,
+            ))
     return cases
 
 
-def _point(flat, fairness_metric, performance_metric):
-    from .fairea import TradeoffPoint
-
-    return TradeoffPoint(
-        fairness=flat[fairness_metric], performance=flat[performance_metric],
-        fairness_metric=fairness_metric, performance_metric=performance_metric,
-    )
+def _ok_rows_by_cell(rows) -> dict:
+    """The rows of cells that ran, grouped by (task, method) in row order."""
+    by_cell: dict = {}
+    for r in rows:
+        if r.get("status", "ok") == "ok":
+            by_cell.setdefault((r["task"], r["method"]), []).append(r)
+    return by_cell
 
 
 def improvement_table(rows) -> list:
     """Per (method, metric): mean values and absolute/relative change vs original."""
-    ok = [r for r in rows if r.get("status", "ok") == "ok"]
-    metric_names = [k for k in (FAIRNESS_METRICS + PERFORMANCE_METRICS) if any(k in r for r in ok)]
-    by_method: dict = {}
-    for r in ok:
-        by_method.setdefault((r["task"], r["method"]), []).append(r)
-
+    by_method = _ok_rows_by_cell(rows)
+    metric_names = [k for k in (FAIRNESS_METRICS + PERFORMANCE_METRICS)
+                    if any(k in r for cell in by_method.values() for r in cell)]
     table = []
     tasks = sorted({t for t, _ in by_method})
     for task in tasks:
@@ -326,11 +324,8 @@ def improvement_table(rows) -> list:
                 if not vals:
                     continue
                 mean_m = float(np.mean(vals))
-                entry = {
-                    "task": task, "method": method, "metric": metric,
-                    "method_mean": mean_m, "original_mean": "",
-                    "absolute_change": "", "relative_change_pct": "",
-                }
+                entry = dict.fromkeys(IMPROVEMENT_COLUMNS, "")
+                entry.update(task=task, method=method, metric=metric, method_mean=mean_m)
                 if base:
                     base_vals = [float(r[metric]) for r in base if metric in r]
                     if base_vals:
@@ -345,10 +340,7 @@ def improvement_table(rows) -> list:
 
 def wtl_matrix(rows, subject: str = "fairhome", alpha: float = 0.05) -> list:
     """Win/tie/loss counts of ``subject`` vs every other method, per fairness metric."""
-    ok = [r for r in rows if r.get("status", "ok") == "ok"]
-    by_cell: dict = {}
-    for r in ok:
-        by_cell.setdefault((r["task"], r["method"]), []).append(r)
+    by_cell = _ok_rows_by_cell(rows)
     opponents = sorted({m for _, m in by_cell if m != subject})
     tasks = sorted({t for t, _ in by_cell})
 
@@ -379,10 +371,9 @@ def region_distribution(case_rows) -> list:
     out = []
     for method in sorted(by_method):
         regions = by_method[method]
-        counts = {name: regions.count(name) for name in
-                  ("win-win", "good", "poor", "lose-lose", "inverted")}
+        counts = {name: regions.count(name) for name in REGIONS}
         total = len(regions)
-        beats = counts["win-win"] + counts["good"]
+        beats = counts[TradeoffRegion.WIN_WIN.value] + counts[TradeoffRegion.GOOD.value]
         out.append({
             "method": method, **counts, "total": total,
             "beats_baseline_pct": 100.0 * beats / total if total else 0.0,
@@ -399,35 +390,32 @@ def _write_csv(path, rows, fieldnames) -> None:
 
 
 def _record_fieldnames(rows) -> list:
-    head = ["task", "method", "repetition", "seed", "model_fingerprint", "status", "error"]
     core = [k for k in FAIRNESS_METRICS + PERFORMANCE_METRICS if any(k in r for r in rows)]
-    extra = sorted({k for r in rows for k in r} - set(head) - set(core))
-    return head + core + extra
+    extra = sorted({k for r in rows for k in r} - set(RECORD_HEAD) - set(core))
+    return [*RECORD_HEAD, *core, *extra]
 
 
-def write_tables(output_dir, rows, wtl_rows, case_rows) -> dict:
-    """Write improvement.csv from metric rows, win_tie_loss.csv when there are
-    win-tie-loss rows, and region_distribution.csv unless ``case_rows`` is None.
+def write_tables(output_dir, rows, case_rows) -> dict:
+    """Write improvement.csv from metric rows, win_tie_loss.csv when fairhome is
+    among them, and region_distribution.csv unless ``case_rows`` is None.
 
     Returns the paths written.
     """
     paths = {"improvement": os.path.join(output_dir, "improvement.csv")}
-    _write_csv(paths["improvement"], improvement_table(rows),
-               ["task", "method", "metric", "original_mean", "method_mean",
-                "absolute_change", "relative_change_pct"])
-    if wtl_rows:
+    _write_csv(paths["improvement"], improvement_table(rows), IMPROVEMENT_COLUMNS)
+    if any(r.get("method") == "fairhome" for r in rows):
+        wtl_rows = wtl_matrix(rows)
         paths["wtl"] = os.path.join(output_dir, "win_tie_loss.csv")
         columns = ["metric"] + sorted({k for r in wtl_rows for k in r} - {"metric"})
         _write_csv(paths["wtl"], wtl_rows, columns)
     if case_rows is not None:
         paths["regions"] = os.path.join(output_dir, "region_distribution.csv")
         _write_csv(paths["regions"], region_distribution(case_rows),
-                   ["method", "win-win", "good", "poor", "lose-lose", "inverted",
-                    "total", "beats_baseline_pct"])
+                   ["method", *REGIONS, "total", "beats_baseline_pct"])
     return paths
 
 
-def emit_report(records, fairea_cases, wtl_rows, output_dir) -> dict:
+def emit_report(records, fairea_cases, output_dir) -> dict:
     """Write the per-cell metrics, improvement, win-tie-loss, and region CSVs.
 
     Returns the paths written. Wall-clock durations go to the manifest only so
@@ -442,7 +430,7 @@ def emit_report(records, fairea_cases, wtl_rows, output_dir) -> dict:
     if case_rows:
         paths["fairea_cases"] = os.path.join(output_dir, "fairea_regions.csv")
         _write_csv(paths["fairea_cases"], case_rows, [f.name for f in fields(FaireaCase)])
-    paths.update(write_tables(output_dir, rows, wtl_rows, case_rows))
+    paths.update(write_tables(output_dir, rows, case_rows))
     return paths
 
 
@@ -455,7 +443,7 @@ def write_manifest(config: ExperimentConfig, records, output_dir) -> str:
         "cells": [
             {"task": r.task, "method": r.method, "repetition": r.repetition,
              "fingerprint": r.model_fingerprint, "duration_s": round(r.duration_s, 4),
-             "status": "ok" if r.error is None else "failed"}
+             "status": r.status}
             for r in records
         ],
     }
@@ -467,13 +455,13 @@ def write_manifest(config: ExperimentConfig, records, output_dir) -> str:
 
 def read_records_csv(path) -> list:
     """Load a metrics.csv back into row dicts (numbers parsed where possible)."""
+    text = {*RECORD_HEAD, "excluded_subgroups"} - {"repetition", "seed"}
     with open(path, newline="", encoding="utf-8") as fh:
         rows = []
         for row in csv.DictReader(fh):
             parsed = {}
             for k, v in row.items():
-                if k in ("task", "method", "status", "error", "model_fingerprint",
-                         "excluded_subgroups"):
+                if k in text:
                     parsed[k] = v
                 else:
                     try:

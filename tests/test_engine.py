@@ -17,7 +17,7 @@ import fairhome.ensemble
 from fairhome.data import (AttributeSpec, Dataset, Instance, Schema, build_encoding, load_dataset,
                            protected_domains, split)
 from fairhome.ensemble import EnsembleStrategy, fairhome_predict, member_probabilities
-from fairhome.errors import UsageError
+from fairhome.errors import DataError, ShapeError, UsageError
 from fairhome.model import LogisticModel, MlpModel, TrainConfig, fit_logistic, fit_mlp
 from fairhome.mutate import MutationStrategy, fit_extrapolation_models, generate_mutants
 from fairhome.runner import DESK_HIDDEN_LAYERS, FAIRHOME_VARIANTS, _method_predictions
@@ -197,9 +197,23 @@ def test_engine_edge_inputs():
     train, _ = _fixture_split("german")
     domains = protected_domains(train)
     model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
+    corr = fit_extrapolation_models(train)
+    values = train.rows[0]
+    numeric = next(i for i, a in enumerate(train.schema.attributes) if a.kind == "numeric")
+    bad = [(values[:-1], ShapeError), ((*values, "extra"), ShapeError)]
+    for cell in (float("nan"), float("inf"), "3.0"):
+        bad.append((values[:numeric] + (cell,) + values[numeric + 1:], DataError))
     for classifier in (model, BlackBox(model)):
         empty = fairhome_predict(classifier, [], domains)
         assert empty.shape == (0,) and empty.dtype.kind == "i"
+        # every input is checked before either path runs, one at a time or in a batch
+        for cells, error in bad:
+            for mutation in MutationStrategy:
+                with pytest.raises(error):
+                    fairhome_predict(classifier, Instance(cells), domains, mutation, corr=corr)
+                with pytest.raises(error):
+                    fairhome_predict(classifier, [train.instance(1), Instance(cells)], domains,
+                                     mutation, corr=corr)
     with pytest.raises(UsageError, match="CorrelationModel"):
         fairhome_predict(model, train.instances()[:3], domains,
                          MutationStrategy.CORRELATED_FEATURES)

@@ -12,7 +12,6 @@ from fairhome.model import (
     load_model,
     logistic_loss_grad,
     mlp_loss_grad,
-    predict_proba,
     reweighting_weights,
     save_model,
 )
@@ -109,14 +108,14 @@ def test_predict_proba_contracts():
     enc_model = fit_logistic(ds, TrainConfig(epochs=1))
     zero = LogisticModel(weights=np.zeros_like(enc_model.weights), bias=0.0,
                          encoding=enc_model.encoding, schema=ds.schema)
-    assert predict_proba(zero, ds.instance(0)) == 0.5
+    assert zero.predict_proba(ds.instance(0)) == 0.5
 
     biased = LogisticModel(weights=np.zeros_like(enc_model.weights), bias=10.0,
                            encoding=enc_model.encoding, schema=ds.schema)
-    assert predict_proba(biased, ds.instance(0)) > 0.999
+    assert biased.predict_proba(ds.instance(0)) > 0.999
 
     with pytest.raises(ShapeError):
-        predict_proba(zero, Instance(("M", 1.0)))
+        zero.predict_proba(Instance(("M", 1.0)))
 
 
 def test_predict_proba_in_range_property(rng):
@@ -128,7 +127,7 @@ def test_predict_proba_in_range_property(rng):
     for _ in range(100):
         probe = Instance((str(rng.choice(["a", "b", "zz"])), float(rng.uniform(-5, 15)),
                           str(rng.choice(["u", "v", "w", "??"]))))
-        assert 0.0 <= predict_proba(model, probe) <= 1.0
+        assert 0.0 <= model.predict_proba(probe) <= 1.0
 
 
 def central_diff(f, x, eps=1e-6):

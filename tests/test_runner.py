@@ -14,6 +14,7 @@ from fairhome.runner import (
     read_records_csv,
     region_distribution,
     run_experiment,
+    write_tables,
     wtl_matrix,
 )
 from fairhome.metrics import MetricReport
@@ -78,9 +79,7 @@ def test_full_run_determinism_byte_identical(tmp_path):
     for name in ("a", "b"):
         config = small_config(tmp_path, output_dir=str(tmp_path / name))
         result = run_experiment(config)
-        rows = [r.to_row() for r in result.records]
-        out = emit_report(result.records, result.fairea_cases, wtl_matrix(rows),
-                          config.output_dir)
+        out = emit_report(result.records, result.fairea_cases, config.output_dir)
         paths.append(out)
     for key in paths[0]:
         assert Path(paths[0][key]).read_bytes() == Path(paths[1][key]).read_bytes()
@@ -159,7 +158,9 @@ def test_failure_isolation(tmp_path):
     )
     result = run_experiment(config)
     by_method = {r.method: r for r in result.records}
-    assert by_method["fairhome1"].error is not None
+    # the cell carries the extrapolation fit's own failure
+    assert by_method["fairhome1"].error == (
+        "UsageError: no numeric non-protected features to extrapolate")
     assert by_method["original"].error is None
     assert by_method["fairhome"].error is None
 
@@ -209,7 +210,7 @@ def test_read_records_round_trip(tmp_path):
     config = small_config(tmp_path, repetitions=1)
     result = run_experiment(config)
     rows = [r.to_row() for r in result.records]
-    paths = emit_report(result.records, result.fairea_cases, [], config.output_dir)
+    paths = emit_report(result.records, result.fairea_cases, config.output_dir)
     loaded = read_records_csv(paths["metrics"])
     assert len(loaded) == len(rows)
     for orig, back in zip(rows, loaded):
@@ -293,8 +294,10 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 
 
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
-    """Bad Fairea settings, unknown config keys, missing data files and config
-    files that are not a JSON object: exit 2 before loading any data."""
+    """Bad Fairea settings, unknown config keys, config values of the wrong
+    type, missing data files and config files that are not a JSON object: exit
+    2 before loading any data. ``fairhome report`` on a missing file: exit 2
+    before writing anything."""
     import fairhome.runner
 
     def no_training(*args, **kwargs):
@@ -321,6 +324,14 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"dataset_path": missing}, f"no such file: {missing}"),
         ({"schema_path": missing}, f"no such file: {missing}"),
         ({"train": 3}, f"{config_path}: train must be a JSON object, not int"),
+        ({"repetitions": "2"}, "repetitions must be int, got '2'"),
+        ({"repetitions": True}, "repetitions must be int, got True"),
+        ({"paper_arch": 1}, "paper_arch must be bool, got 1"),
+        ({"methods": "fairhome"}, "methods must be tuple, got 'fairhome'"),
+        ({"fairea_degrees": [0.0, "0.5", 1.0]}, "degrees must be ascending numbers"),
+        ({"train": {"epochs": "3"}}, "epochs must be int, got '3'"),
+        ({"train": {"learning_rate": "0.1"}}, "learning_rate must be float, got '0.1'"),
+        ({"train": {"batch_size": 1.5}}, "batch_size must be int | None, got 1.5"),
     )]
     cases += [("[1, 2]", f"{config_path}: config must be a JSON object, not list"),
               ('{"methods": ', f"{config_path}: not a JSON file")]
@@ -334,6 +345,36 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         assert not (tmp_path / "out").exists()
     assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
     assert f"{tmp_path / 'none.json'}: No such file" in capsys.readouterr().err
+    for args in (["--records", missing],
+                 ["--records", str(FIXTURES / "german_synth.csv"), "--regions", missing]):
+        assert cli_main(["report", *args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"fairhome: error: no such file: {missing}\n")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("methods", [("original", "fairhome"), ("original", "fairhome2"),
+                                     ("fairhome",)])
+def test_win_tie_loss_written_iff_fairhome_ran(tmp_path, methods):
+    """Through ``fairhome run`` and ``fairhome report`` alike."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "dataset_path": str(FIXTURES / "german_synth.csv"),
+        "schema_path": str(FIXTURES / "german_synth.schema.json"),
+        "methods": list(methods), "repetitions": 1, "fairea_degrees": [0.0, 1.0],
+        "fairea_reps": 1, "output_dir": str(tmp_path / "run"), "train": {"epochs": 2},
+    }))
+    assert cli_main(["run", "--config", str(config_path)]) == 0
+    assert cli_main(["report", "--records", str(tmp_path / "run" / "metrics.csv"),
+                     "--out", str(tmp_path / "report")]) == 0
+    (tmp_path / "tables").mkdir()
+    paths = write_tables(tmp_path / "tables", read_records_csv(tmp_path / "run" / "metrics.csv"),
+                         None)
+    assert ("wtl" in paths) == ("fairhome" in methods)
+    for out in ("run", "report", "tables"):
+        assert (tmp_path / out / "win_tie_loss.csv").exists() == ("fairhome" in methods)
+    if "fairhome" in methods:
+        assert ((tmp_path / "run" / "win_tie_loss.csv").read_bytes()
+                == (tmp_path / "report" / "win_tie_loss.csv").read_bytes())
 
 
 def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
