@@ -49,7 +49,11 @@ def cmd_report(args) -> int:
     case_rows = None
     if args.regions:
         with open(args.regions, newline="", encoding="utf-8") as fh:
-            case_rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            lacking = [c for c in ("method", "region") if c not in (reader.fieldnames or [])]
+            if lacking:
+                raise UsageError(f"{args.regions}: header lacks column(s) {lacking}")
+            case_rows = list(reader)
     os.makedirs(args.out, exist_ok=True)
     for path in write_tables(args.out, rows, case_rows).values():
         print(f"wrote {path}")

@@ -181,10 +181,15 @@ def load_dataset(path, schema: Schema) -> Dataset:
     return Dataset(schema=schema, rows=rows, labels=labels)
 
 
-def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded disjoint train/test partition; test gets floor(n * fraction) rows."""
+def check_test_fraction(test_fraction) -> None:
+    """UsageError unless 0 < test_fraction < 1; NaN fails both comparisons."""
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0, 1), got {test_fraction}")
+
+
+def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded disjoint train/test partition; test gets floor(n * fraction) rows."""
+    check_test_fraction(test_fraction)
     n = len(dataset)
     if n == 0:
         raise UsageError("cannot split an empty dataset")

@@ -2,8 +2,9 @@
 
 Both models are trained by seeded mini-batch gradient descent on weighted
 cross-entropy with an L2 penalty on weights (not biases), so training is
-deterministic given (data, config). Loss/gradient functions are exposed for
-finite-difference checking.
+deterministic given (data, config). A training step computes gradients only
+(``logistic_grad``, ``mlp_grad``); ``logistic_loss_grad`` and ``mlp_loss_grad``
+add the loss to the same gradients, for finite-difference checking.
 """
 
 from __future__ import annotations
@@ -57,30 +58,39 @@ class TrainConfig:
         if self.instance_weights is not None:
             self.instance_weights = np.asarray(self.instance_weights, dtype=float)
         check_field_types(self)
-        if self.learning_rate <= 0:
-            raise UsageError("learning_rate must be positive")
+        # written so that NaN fails each comparison and is rejected
+        if not 0 < self.learning_rate < np.inf:
+            raise UsageError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise UsageError("batch_size must be >= 1 or None")
-        if self.l2_penalty < 0:
-            raise UsageError("l2_penalty must be non-negative")
-        if self.instance_weights is not None and (self.instance_weights <= 0).any():
-            raise UsageError("instance_weights must be positive")
+        if not 0 <= self.l2_penalty < np.inf:
+            raise UsageError(f"l2_penalty must be non-negative and finite, got {self.l2_penalty}")
+        if self.instance_weights is not None and not (
+                (self.instance_weights > 0) & (self.instance_weights < np.inf)).all():
+            raise UsageError("instance_weights must be positive and finite")
 
 
 def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _cross_entropy(z, y, sample_w):
+    """Weighted-mean cross-entropy of sigmoid(z): log(1+e^z) - y*z, stable via logaddexp."""
+    return np.sum(sample_w / sample_w.sum() * (np.logaddexp(0.0, z) - y * z))
+
+
+def logistic_grad(w, b, X, y, sample_w, l2):
+    """Gradients (w, b) of ``logistic_loss_grad``'s loss, without the loss."""
+    g = sample_w / sample_w.sum() * (sigmoid(X @ w + b) - y)
+    return X.T @ g + l2 * w, float(g.sum())
+
+
 def logistic_loss_grad(w, b, X, y, sample_w, l2):
     """Weighted-mean cross-entropy + 0.5*l2*||w||^2, with analytic gradients."""
-    z = X @ w + b
-    sw = sample_w / sample_w.sum()
-    # log(1+e^z) - y*z is the cross-entropy of sigmoid(z), stable via logaddexp
-    loss = float(np.sum(sw * (np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * np.dot(w, w))
-    g = sw * (sigmoid(z) - y)
-    return loss, X.T @ g + l2 * w, float(g.sum())
+    loss = float(_cross_entropy(X @ w + b, y, sample_w) + 0.5 * l2 * np.dot(w, w))
+    return (loss, *logistic_grad(w, b, X, y, sample_w, l2))
 
 
 def mlp_forward(weights, biases, X):
@@ -94,31 +104,25 @@ def mlp_forward(weights, biases, X):
     return sigmoid(z), activations, z
 
 
-def mlp_loss_grad(weights, biases, X, y, sample_w, l2):
-    """Loss and per-layer gradients for the feed-forward net."""
-    sw = sample_w / sample_w.sum()
-    p, activations, z = mlp_forward(weights, biases, X)
-    penalty = 0.5 * l2 * sum(float(np.sum(W * W)) for W in weights)
-    loss = float(np.sum(sw * (np.logaddexp(0.0, z) - y * z)) + penalty)
-
+def mlp_grad(weights, biases, X, y, sample_w, l2):
+    """Per-layer gradients (weights, biases) of ``mlp_loss_grad``'s loss, without the loss."""
+    p, activations, _ = mlp_forward(weights, biases, X)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
-    delta = (sw * (p - y))[:, None]
+    delta = (sample_w / sample_w.sum() * (p - y))[:, None]
     for layer in range(len(weights) - 1, -1, -1):
         grads_w[layer] = activations[layer].T @ delta + l2 * weights[layer]
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ weights[layer].T) * (activations[layer] > 0)
-    return loss, grads_w, grads_b
+    return grads_w, grads_b
 
 
-def _batches(n, batch_size, rng):
-    if batch_size is None or batch_size >= n:
-        yield np.arange(n)
-        return
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def mlp_loss_grad(weights, biases, X, y, sample_w, l2):
+    """Loss and per-layer gradients for the feed-forward net."""
+    penalty = 0.5 * l2 * sum(float(np.sum(W * W)) for W in weights)
+    loss = float(_cross_entropy(mlp_forward(weights, biases, X)[2], y, sample_w) + penalty)
+    return (loss, *mlp_grad(weights, biases, X, y, sample_w, l2))
 
 
 @dataclass
@@ -172,33 +176,45 @@ class MlpModel:
         }
 
 
-def _descend(train: Dataset, config: TrainConfig, init, loss_grad):
+def _descend(train: Dataset, config: TrainConfig, init, grad):
     """Seeded mini-batch gradient descent shared by both models.
 
     ``init(dim)`` returns the list of parameter arrays, which are updated in
-    place; ``loss_grad(params, X, y, sample_w, l2)`` returns their gradients in
-    the same order. Returns the training encoding and the trained parameters.
+    place; ``grad(params, X, y, sample_w, l2)`` returns only their gradients,
+    in the same order. Each epoch gathers the rows in a fresh random order once
+    and steps over contiguous slices of ``batch_size`` rows; a full batch
+    (``batch_size`` None or at least the training size) draws no order.
+    Returns the training encoding and the trained parameters.
     """
-    if len(train) < 2:
+    n = len(train)
+    if n < 2:
         raise TrainingError("need at least 2 training rows")
     if len(set(train.labels)) < 2:
         raise TrainingError("training data contains a single label class")
     sample_w = config.instance_weights
     if sample_w is None:
-        sample_w = np.ones(len(train))
-    elif len(sample_w) != len(train):
+        sample_w = np.ones(n)
+    elif len(sample_w) != n:
         raise UsageError("instance_weights length must equal the training size")
     encoding = build_encoding(train)
     X = encode_matrix(train.instances(), train.schema, encoding)
     y = np.asarray(train.labels, dtype=float)
 
     params = init(encoding.dim)
+    full_batch = config.batch_size is None or config.batch_size >= n
+    step = n if full_batch else config.batch_size
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        for idx in _batches(len(train), config.batch_size, rng):
-            grads = loss_grad(params, X[idx], y[idx], sample_w[idx], config.l2_penalty)
-            for param, grad in zip(params, grads):
-                param -= config.learning_rate * grad
+        if full_batch:
+            X_e, y_e, w_e = X, y, sample_w
+        else:
+            order = rng.permutation(n)
+            X_e, y_e, w_e = X[order], y[order], sample_w[order]
+        for s in range(0, n, step):
+            grads = grad(params, X_e[s:s + step], y_e[s:s + step], w_e[s:s + step],
+                         config.l2_penalty)
+            for param, g in zip(params, grads):
+                param -= config.learning_rate * g
     return encoding, params
 
 
@@ -207,7 +223,7 @@ def fit_logistic(train: Dataset, config: TrainConfig) -> LogisticModel:
     # the bias is a 0-d array so the descent loop can update it in place
     encoding, (w, b) = _descend(
         train, config, lambda dim: [np.zeros(dim), np.zeros(())],
-        lambda params, X, y, sw, l2: logistic_loss_grad(*params, X, y, sw, l2)[1:],
+        lambda params, X, y, sw, l2: logistic_grad(*params, X, y, sw, l2),
     )
     meta = {"kind": "logistic", "seed": config.seed, "n_train": len(train)}
     return LogisticModel(weights=w, bias=float(b), encoding=encoding, schema=train.schema,
@@ -234,11 +250,11 @@ def fit_mlp(train: Dataset, config: TrainConfig, hidden_layers=DEFAULT_HIDDEN_LA
         weights, biases = init_mlp_params(dim, hidden_layers, config.seed)
         return weights + biases
 
-    def loss_grad(params, X, y, sw, l2):
-        _, gw, gb = mlp_loss_grad(params[:n_layers], params[n_layers:], X, y, sw, l2)
+    def grad(params, X, y, sw, l2):
+        gw, gb = mlp_grad(params[:n_layers], params[n_layers:], X, y, sw, l2)
         return gw + gb
 
-    encoding, params = _descend(train, config, init, loss_grad)
+    encoding, params = _descend(train, config, init, grad)
     meta = {"kind": "mlp", "seed": config.seed, "n_train": len(train),
             "hidden_layers": tuple(hidden_layers)}
     return MlpModel(layer_weights=params[:n_layers], layer_biases=params[n_layers:],

@@ -14,11 +14,12 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset, Schema, load_dataset, protected_domains, split
+from .data import (Dataset, Schema, check_test_fraction, load_dataset, protected_domains,
+                   split)
 from .ensemble import EnsembleStrategy, fairhome_predict
 from .errors import UsageError
 from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, TradeoffPoint, TradeoffRegion,
@@ -83,6 +84,7 @@ class ExperimentConfig:
                 raise UsageError(f"unknown method {m!r}; valid: {VALID_METHODS}")
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
+        check_test_fraction(self.test_fraction)
         self.methods = tuple(self.methods)
         self.fairea_degrees = check_curve_settings(self.fairea_degrees, self.fairea_reps)
 
@@ -120,6 +122,10 @@ class ExperimentConfig:
             if unknown:
                 raise UsageError(f"{path}: unknown {where} key(s) {unknown}")
         raw.update({k: v for k, v in overrides.items() if v is not None})
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING and f.name not in raw]
+        if missing:
+            raise UsageError(f"{path}: missing config key(s) {missing}")
         kwargs = dict(raw)
         kwargs["train"] = TrainConfig(**train_raw)
         return cls(**kwargs)

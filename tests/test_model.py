@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairhome.data import Instance, encode_matrix, protected_domains
+from fairhome.data import Instance, build_encoding, encode_matrix, protected_domains
 from fairhome.errors import ShapeError, TrainingError, UsageError
 from fairhome.model import (
     LogisticModel,
@@ -10,13 +12,15 @@ from fairhome.model import (
     fit_mlp,
     init_mlp_params,
     load_model,
+    logistic_grad,
     logistic_loss_grad,
+    mlp_grad,
     mlp_loss_grad,
     reweighting_weights,
     save_model,
 )
 
-from conftest import make_dataset, make_schema
+from conftest import make_dataset, make_schema, random_dataset
 
 SCHEMA_1P = make_schema(protected=("sex",), extra=(("x1", "numeric"), ("x2", "numeric")))
 
@@ -251,3 +255,84 @@ def test_save_load_round_trip(tmp_path):
         clone = load_model(path)
         for inst in ds.instances():
             assert clone.predict_proba(inst) == model.predict_proba(inst)
+
+
+def reference_descend(train, config, params, loss_grad):
+    """The slow descent loop that the lean one must match bit for bit: every
+    step fancy-indexes its batch and computes a loss that nothing reads."""
+    def batches(n, batch_size, rng):
+        if batch_size is None or batch_size >= n:
+            yield np.arange(n)
+            return
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
+
+    X = encode_matrix(train.instances(), train.schema, build_encoding(train))
+    y = np.asarray(train.labels, dtype=float)
+    sample_w = np.ones(len(train)) if config.instance_weights is None else config.instance_weights
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        for idx in batches(len(train), config.batch_size, rng):
+            grads = loss_grad(params, X[idx], y[idx], sample_w[idx], config.l2_penalty)
+            for param, grad in zip(params, grads):
+                param -= config.learning_rate * grad
+    return params
+
+
+@st.composite
+def descent_cases(draw):
+    n = draw(st.integers(2, 80))
+    ragged = st.integers(2, max(2, n - 1)).filter(lambda bs: n % bs or bs >= n)
+    batch_size = draw(st.one_of(st.sampled_from([1, n - 1, n, n + 5, None]), ragged))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    train = random_dataset(rng, SCHEMA_1P, n)
+    train.labels[:2] = [0, 1]  # both classes, so training can start
+    weights = rng.uniform(0.2, 3.0, n) if draw(st.booleans()) else None
+    config = TrainConfig(learning_rate=0.1, epochs=draw(st.integers(1, 3)),
+                         batch_size=batch_size, seed=seed, instance_weights=weights)
+    return train, config, draw(st.sampled_from([(), (4,), (3, 2)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(descent_cases())
+def test_descent_equals_the_reference_loop_bit_for_bit(case):
+    train, config, hidden = case
+    dim = build_encoding(train).dim
+    if not hidden:
+        model = fit_logistic(train, config)
+        w, b = reference_descend(train, config, [np.zeros(dim), np.zeros(())],
+                                 lambda p, *a: logistic_loss_grad(*p, *a)[1:])
+        assert np.array_equal(model.weights, w) and model.bias == float(b)
+        return
+    model = fit_mlp(train, config, hidden_layers=hidden)
+    k = len(hidden) + 1
+
+    def loss_grad(params, *args):
+        _, gw, gb = mlp_loss_grad(params[:k], params[k:], *args)
+        return gw + gb
+
+    weights, biases = init_mlp_params(dim, hidden, config.seed)
+    params = reference_descend(train, config, weights + biases, loss_grad)
+    for got, want in zip(model.layer_weights + model.layer_biases, params):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_gradient_only_functions_equal_loss_grad_gradients(n, d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, 2, n).astype(float)
+    sw = rng.uniform(0.5, 2.0, n)
+    l2 = float(rng.choice([0.0, 1e-3]))
+    w, b = rng.normal(size=d), float(rng.normal())
+    gw, gb = logistic_grad(w, b, X, y, sw, l2)
+    _, lw, lb = logistic_loss_grad(w, b, X, y, sw, l2)
+    assert np.array_equal(gw, lw) and gb == lb
+
+    weights, biases = init_mlp_params(d, (5, 3), seed=seed)
+    for got, want in zip(mlp_grad(weights, biases, X, y, sw, l2),
+                         mlp_loss_grad(weights, biases, X, y, sw, l2)[1:]):
+        assert all(np.array_equal(g, h) for g, h in zip(got, want))

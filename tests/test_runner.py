@@ -294,10 +294,11 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 
 
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
-    """Bad Fairea settings, unknown config keys, config values of the wrong
-    type, missing data files and config files that are not a JSON object: exit
-    2 before loading any data. ``fairhome report`` on a missing file: exit 2
-    before writing anything."""
+    """Bad Fairea settings, unknown or missing config keys, config values of
+    the wrong type or not finite, missing data files and config files that are
+    not a JSON object: exit 2 before loading any data. ``fairhome report`` on a
+    missing file or a regions file without a region column: exit 2 before
+    writing anything."""
     import fairhome.runner
 
     def no_training(*args, **kwargs):
@@ -332,7 +333,18 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"train": {"epochs": "3"}}, "epochs must be int, got '3'"),
         ({"train": {"learning_rate": "0.1"}}, "learning_rate must be float, got '0.1'"),
         ({"train": {"batch_size": 1.5}}, "batch_size must be int | None, got 1.5"),
+        ({"train": {"learning_rate": float("nan")}}, "learning_rate must be positive and finite"),
+        ({"train": {"learning_rate": float("inf")}}, "learning_rate must be positive and finite"),
+        ({"train": {"l2_penalty": float("nan")}}, "l2_penalty must be non-negative and finite"),
+        ({"train": {"l2_penalty": float("inf")}}, "l2_penalty must be non-negative and finite"),
+        ({"train": {"instance_weights": [1.0, float("nan")]}},
+         "instance_weights must be positive and finite"),
+        ({"test_fraction": float("nan")}, "test_fraction must be in (0, 1), got nan"),
+        ({"test_fraction": float("inf")}, "test_fraction must be in (0, 1), got inf"),
     )]
+    cases += [(json.dumps({k: v for k, v in base.items() if k not in absent}),
+               f"{config_path}: missing config key(s) {sorted(absent)}")
+              for absent in ({"dataset_path"}, {"schema_path"}, {"dataset_path", "schema_path"})]
     cases += [("[1, 2]", f"{config_path}: config must be a JSON object, not list"),
               ('{"methods": ', f"{config_path}: not a JSON file")]
     for text, message in cases:
@@ -350,6 +362,13 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         assert cli_main(["report", *args, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"fairhome: error: no such file: {missing}\n")
         assert not (tmp_path / "out").exists()
+    regions = tmp_path / "regions.csv"
+    regions.write_text("task,method,fairness_metric\nt,fairhome,wc_spd\n")
+    assert cli_main(["report", "--records", str(FIXTURES / "german_synth.csv"),
+                     "--regions", str(regions), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", f"fairhome: error: {regions}: header lacks column(s) ['region']\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("methods", [("original", "fairhome"), ("original", "fairhome2"),
