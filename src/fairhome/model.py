@@ -2,7 +2,10 @@
 
 Both models are trained by seeded mini-batch gradient descent on weighted
 cross-entropy with an L2 penalty on weights (not biases), so training is
-deterministic given (data, config). A training step computes gradients only
+deterministic given (data, config). One descent can train several parameter
+sets in lockstep that differ only in their sample weights (the runner trains
+each repetition's model and its REW model together); each set's weights are
+bit-identical to a separate fit. A training step computes gradients only
 (``logistic_grad``, ``mlp_grad``); ``logistic_loss_grad`` and ``mlp_loss_grad``
 add the loss to the same gradients, for finite-difference checking.
 """
@@ -67,62 +70,89 @@ class TrainConfig:
             raise UsageError("batch_size must be >= 1 or None")
         if not 0 <= self.l2_penalty < np.inf:
             raise UsageError(f"l2_penalty must be non-negative and finite, got {self.l2_penalty}")
-        if self.instance_weights is not None and not (
-                (self.instance_weights > 0) & (self.instance_weights < np.inf)).all():
-            raise UsageError("instance_weights must be positive and finite")
+        if self.instance_weights is not None:
+            check_weights(self.instance_weights)
+
+
+def check_weights(weights) -> np.ndarray:
+    """``weights`` as a float array; UsageError unless every entry is positive and finite."""
+    weights = np.asarray(weights, dtype=float)
+    if not ((weights > 0) & (weights < np.inf)).all():
+        raise UsageError("instance_weights must be positive and finite")
+    return weights
 
 
 def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    # np.minimum/np.maximum clip as np.clip does, with less overhead per call
+    return 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(z, 500), -500)))
 
 
-def _cross_entropy(z, y, sample_w):
+def _cross_entropy(z, y, share):
     """Weighted-mean cross-entropy of sigmoid(z): log(1+e^z) - y*z, stable via logaddexp."""
-    return np.sum(sample_w / sample_w.sum() * (np.logaddexp(0.0, z) - y * z))
+    return np.sum(share * (np.logaddexp(0.0, z) - y * z))
 
 
-def logistic_grad(w, b, X, y, sample_w, l2):
-    """Gradients (w, b) of ``logistic_loss_grad``'s loss, without the loss."""
-    g = sample_w / sample_w.sum() * (sigmoid(X @ w + b) - y)
-    return X.T @ g + l2 * w, float(g.sum())
+def logistic_grad(w, b, X, y, share, l2):
+    """Gradients (w, b) of ``logistic_loss_grad``'s loss, without the loss.
+
+    ``share`` is each row's sample weight divided by the batch's total. ``X``
+    is (rows, dim); ``w`` (..., dim, 1), ``b`` (..., 1, 1), and the labels
+    ``y`` and ``share`` as (..., rows, 1) columns broadcast over any leading
+    axes, and the gradients have the shapes of ``w`` and ``b``.
+    """
+    g = share * (sigmoid(X @ w + b) - y)
+    return X.T @ g + l2 * w, g.sum(axis=-2, keepdims=True)
 
 
 def logistic_loss_grad(w, b, X, y, sample_w, l2):
     """Weighted-mean cross-entropy + 0.5*l2*||w||^2, with analytic gradients."""
-    loss = float(_cross_entropy(X @ w + b, y, sample_w) + 0.5 * l2 * np.dot(w, w))
-    return (loss, *logistic_grad(w, b, X, y, sample_w, l2))
+    share = sample_w / sample_w.sum()
+    loss = float(_cross_entropy(X @ w + b, y, share) + 0.5 * l2 * np.dot(w, w))
+    gw, gb = logistic_grad(w[:, None], np.reshape(b, (1, 1)), X, y[:, None], share[:, None], l2)
+    return loss, gw[:, 0], float(gb[0, 0])
 
 
 def mlp_forward(weights, biases, X):
-    """ReLU hidden layers, sigmoid output; returns (probabilities, activations, logits)."""
+    """ReLU hidden layers, sigmoid output; returns (probabilities, activations, logits).
+
+    The probabilities and logits are (..., rows, 1) columns: any leading axes of
+    the parameters carry through, each bias broadcasting over the rows.
+    """
     h = X
     activations = [X]
     for W, b in zip(weights[:-1], biases[:-1]):
         h = np.maximum(0.0, h @ W + b)
         activations.append(h)
-    z = (h @ weights[-1] + biases[-1]).ravel()
+    z = h @ weights[-1] + biases[-1]
     return sigmoid(z), activations, z
 
 
-def mlp_grad(weights, biases, X, y, sample_w, l2):
-    """Per-layer gradients (weights, biases) of ``mlp_loss_grad``'s loss, without the loss."""
+def mlp_grad(weights, biases, X, y, share, l2):
+    """Per-layer gradients (weights, biases) of ``mlp_loss_grad``'s loss, without the loss.
+
+    Shaped as ``logistic_grad``'s arguments: ``X`` is (rows, dim), ``y`` and
+    ``share`` are (..., rows, 1) columns, and each weight matrix (..., fan_in,
+    fan_out) and bias (..., 1, fan_out) has the shape of its gradient.
+    """
     p, activations, _ = mlp_forward(weights, biases, X)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
-    delta = (sample_w / sample_w.sum() * (p - y))[:, None]
+    delta = share * (p - y)
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta + l2 * weights[layer]
-        grads_b[layer] = delta.sum(axis=0)
+        grads_w[layer] = activations[layer].swapaxes(-1, -2) @ delta + l2 * weights[layer]
+        grads_b[layer] = delta.sum(axis=-2, keepdims=True)
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (activations[layer] > 0)
+            delta = (delta @ weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0)
     return grads_w, grads_b
 
 
 def mlp_loss_grad(weights, biases, X, y, sample_w, l2):
     """Loss and per-layer gradients for the feed-forward net."""
+    share = sample_w / sample_w.sum()
     penalty = 0.5 * l2 * sum(float(np.sum(W * W)) for W in weights)
-    loss = float(_cross_entropy(mlp_forward(weights, biases, X)[2], y, sample_w) + penalty)
-    return (loss, *mlp_grad(weights, biases, X, y, sample_w, l2))
+    loss = float(_cross_entropy(mlp_forward(weights, biases, X)[2][:, 0], y, share) + penalty)
+    grads_w, grads_b = mlp_grad(weights, biases, X, y[:, None], share[:, None], l2)
+    return loss, grads_w, [g[0] for g in grads_b]
 
 
 @dataclass
@@ -157,7 +187,7 @@ class MlpModel:
     meta: dict = field(default_factory=dict)
 
     def proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.layer_weights, self.layer_biases, np.atleast_2d(X))[0]
+        return mlp_forward(self.layer_weights, self.layer_biases, np.atleast_2d(X))[0][:, 0]
 
     def predict_proba(self, instance: Instance) -> float:
         return float(self.proba_matrix(encode(instance, self.schema, self.encoding))[0])
@@ -176,58 +206,93 @@ class MlpModel:
         }
 
 
-def _descend(train: Dataset, config: TrainConfig, init, grad):
-    """Seeded mini-batch gradient descent shared by both models.
+def _batch_shares(sample_w, step):
+    """Each row's weight divided by its batch's total, for batches of ``step``
+    consecutive rows; ``sample_w`` and the result are (K, rows, 1).
 
-    ``init(dim)`` returns the list of parameter arrays, which are updated in
-    place; ``grad(params, X, y, sample_w, l2)`` returns only their gradients,
-    in the same order. Each epoch gathers the rows in a fresh random order once
-    and steps over contiguous slices of ``batch_size`` rows; a full batch
-    (``batch_size`` None or at least the training size) draws no order.
-    Returns the training encoding and the trained parameters.
+    Every total is summed over a C-contiguous block, as a separate fit's 1-D
+    batch sum is: summed as a strided slice, a total can round differently.
+    """
+    k, n, _ = sample_w.shape
+    shares = np.empty_like(sample_w)
+    whole = n - n % step  # the rows in batches of exactly ``step``
+    for lo, hi, size in ((0, whole, step), (whole, n, n - whole)):
+        if lo < hi:
+            blocks = np.ascontiguousarray(sample_w[:, lo:hi]).reshape(k, -1, size)
+            shares[:, lo:hi] = (blocks / blocks.sum(axis=-1, keepdims=True)).reshape(k, -1, 1)
+    return shares
+
+
+def _descend(train: Dataset, config: TrainConfig, companion_weights, init, grad):
+    """Seeded mini-batch gradient descent shared by both models, over K >= 1
+    parameter sets in lockstep.
+
+    The sets share the rows, the seed, the initial values and the batch order,
+    and differ only in their sample weights: the config's ``instance_weights``
+    (ones when absent), then one vector per set from ``companion_weights``
+    (None for none). Each set's arithmetic is that of a separate fit, so its
+    weights are bit-identical to one. ``init(dim, k)`` returns the parameter
+    arrays, each with a leading K axis, which are updated in place;
+    ``grad(params, X, y, share, l2)`` returns only their gradients, in the same
+    order, for a batch ``X`` (rows, dim), labels ``y`` (1, rows, 1) and weight
+    shares (see ``_batch_shares``) ``share`` (K, rows, 1). Each epoch gathers
+    the rows, and their shares, in a fresh random order once and steps over
+    contiguous slices of ``batch_size`` rows; a full batch (``batch_size`` None
+    or at least the training size) draws no order. Returns the training
+    encoding and the trained parameters.
     """
     n = len(train)
     if n < 2:
         raise TrainingError("need at least 2 training rows")
     if len(set(train.labels)) < 2:
         raise TrainingError("training data contains a single label class")
-    sample_w = config.instance_weights
-    if sample_w is None:
-        sample_w = np.ones(n)
-    elif len(sample_w) != n:
-        raise UsageError("instance_weights length must equal the training size")
+    given = [config.instance_weights, *map(check_weights, companion_weights or ())]
+    sample_w = np.ones((len(given), n, 1))
+    for row, weights in zip(sample_w, given):
+        if weights is not None:
+            if len(weights) != n:
+                raise UsageError("instance_weights length must equal the training size")
+            row[:, 0] = weights
     encoding = build_encoding(train)
     X = encode_matrix(train.instances(), train.schema, encoding)
-    y = np.asarray(train.labels, dtype=float)
+    y = np.asarray(train.labels, dtype=float)[None, :, None]
 
-    params = init(encoding.dim)
+    params = init(encoding.dim, len(sample_w))
     full_batch = config.batch_size is None or config.batch_size >= n
     step = n if full_batch else config.batch_size
+    lr, l2 = config.learning_rate, config.l2_penalty
     rng = np.random.default_rng(config.seed)
+    # a full batch keeps the rows in order; each mini-batch epoch gathers its own
+    X_e, y_e, share_e = X, y, _batch_shares(sample_w, n)
     for _ in range(config.epochs):
-        if full_batch:
-            X_e, y_e, w_e = X, y, sample_w
-        else:
+        if not full_batch:
             order = rng.permutation(n)
-            X_e, y_e, w_e = X[order], y[order], sample_w[order]
+            X_e, y_e, share_e = X[order], y[:, order], _batch_shares(sample_w[:, order], step)
         for s in range(0, n, step):
-            grads = grad(params, X_e[s:s + step], y_e[s:s + step], w_e[s:s + step],
-                         config.l2_penalty)
+            grads = grad(params, X_e[s:s + step], y_e[:, s:s + step], share_e[:, s:s + step], l2)
             for param, g in zip(params, grads):
-                param -= config.learning_rate * g
+                param -= lr * g
     return encoding, params
 
 
-def fit_logistic(train: Dataset, config: TrainConfig) -> LogisticModel:
-    """Weighted logistic regression via gradient descent; zero-initialized."""
-    # the bias is a 0-d array so the descent loop can update it in place
+def fit_logistic(train: Dataset, config: TrainConfig, *, companion_weights=None):
+    """Weighted logistic regression via gradient descent; zero-initialized.
+
+    Returns the model. Given ``companion_weights``, a sequence of per-row weight
+    vectors, it also trains one model per vector in the same descent (see
+    ``_descend``) and returns ``[model, *companions]``.
+    """
     encoding, (w, b) = _descend(
-        train, config, lambda dim: [np.zeros(dim), np.zeros(())],
-        lambda params, X, y, sw, l2: logistic_grad(*params, X, y, sw, l2),
+        train, config, companion_weights,
+        lambda dim, k: [np.zeros((k, dim, 1)), np.zeros((k, 1, 1))],
+        lambda params, X, y, share, l2: logistic_grad(*params, X, y, share, l2),
     )
-    meta = {"kind": "logistic", "seed": config.seed, "n_train": len(train)}
-    return LogisticModel(weights=w, bias=float(b), encoding=encoding, schema=train.schema,
-                         meta=meta)
+    models = [
+        LogisticModel(weights=w_k, bias=float(b_k), encoding=encoding, schema=train.schema,
+                      meta={"kind": "logistic", "seed": config.seed, "n_train": len(train)})
+        for w_k, b_k in zip(w[:, :, 0], b[:, 0, 0])
+    ]
+    return models[0] if companion_weights is None else models
 
 
 def init_mlp_params(dim_in: int, hidden_layers, seed: int):
@@ -242,23 +307,33 @@ def init_mlp_params(dim_in: int, hidden_layers, seed: int):
     return weights, biases
 
 
-def fit_mlp(train: Dataset, config: TrainConfig, hidden_layers=DEFAULT_HIDDEN_LAYERS) -> MlpModel:
-    """Fully-connected net with ReLU hidden layers and a sigmoid output unit."""
+def fit_mlp(train: Dataset, config: TrainConfig, hidden_layers=DEFAULT_HIDDEN_LAYERS, *,
+            companion_weights=None):
+    """Fully-connected net with ReLU hidden layers and a sigmoid output unit.
+
+    Returns the model, or ``[model, *companions]`` given ``companion_weights``,
+    as ``fit_logistic`` does.
+    """
     n_layers = len(hidden_layers) + 1
 
-    def init(dim):
+    def init(dim, k):
         weights, biases = init_mlp_params(dim, hidden_layers, config.seed)
-        return weights + biases
+        # (k, fan_in, fan_out) weights and (k, 1, fan_out) biases
+        return [np.tile(p, (k, 1, 1)) for p in weights + biases]
 
-    def grad(params, X, y, sw, l2):
-        gw, gb = mlp_grad(params[:n_layers], params[n_layers:], X, y, sw, l2)
+    def grad(params, X, y, share, l2):
+        gw, gb = mlp_grad(params[:n_layers], params[n_layers:], X, y, share, l2)
         return gw + gb
 
-    encoding, params = _descend(train, config, init, grad)
-    meta = {"kind": "mlp", "seed": config.seed, "n_train": len(train),
-            "hidden_layers": tuple(hidden_layers)}
-    return MlpModel(layer_weights=params[:n_layers], layer_biases=params[n_layers:],
-                    encoding=encoding, schema=train.schema, meta=meta)
+    encoding, params = _descend(train, config, companion_weights, init, grad)
+    models = [
+        MlpModel(layer_weights=list(p_k[:n_layers]), layer_biases=[b[0] for b in p_k[n_layers:]],
+                 encoding=encoding, schema=train.schema,
+                 meta={"kind": "mlp", "seed": config.seed, "n_train": len(train),
+                       "hidden_layers": tuple(hidden_layers)})
+        for p_k in zip(*params)
+    ]
+    return models[0] if companion_weights is None else models
 
 
 def favorable(p):

@@ -1,8 +1,9 @@
 """Experiment orchestration: (dataset x model x method x repetition) matrices.
 
 Each repetition re-splits with its own seed and trains one model that every
-method shares (REW retrains with weights). Failures are isolated per cell so a
-long matrix never loses completed work. All randomness flows from the base
+method but REW shares. REW's reweighted model is trained in the same descent,
+in lockstep, with weights identical to those of a separate fit. Failures are
+isolated per cell so a long matrix never loses completed work. All randomness flows from the base
 seed, making report CSVs byte-identical across runs.
 """
 
@@ -34,6 +35,7 @@ from .model import (
     DEFAULT_HIDDEN_LAYERS,
     TrainConfig,
     check_field_types,
+    check_weights,
     favorable,
     fit_logistic,
     fit_mlp,
@@ -56,6 +58,8 @@ VALID_METHODS = ("original", *FAIRHOME_VARIANTS, "rew")
 # the leading columns of metrics.csv, ahead of the report's metric columns
 RECORD_HEAD = ("task", "method", "repetition", "seed", "model_fingerprint", "status", "error")
 REGIONS = tuple(r.value for r in TradeoffRegion)
+# the train settings that each repetition sets itself, so a config may not
+TRAIN_KEYS_PER_REP = ("seed", "instance_weights")
 IMPROVEMENT_COLUMNS = ("task", "method", "metric", "original_mean", "method_mean",
                        "absolute_change", "relative_change_pct")
 
@@ -84,6 +88,8 @@ class ExperimentConfig:
                 raise UsageError(f"unknown method {m!r}; valid: {VALID_METHODS}")
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise UsageError(f"base_seed must be >= 0, got {self.base_seed}")
         check_test_fraction(self.test_fraction)
         self.methods = tuple(self.methods)
         self.fairea_degrees = check_curve_settings(self.fairea_degrees, self.fairea_reps)
@@ -95,9 +101,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The fields as JSON values, without the train settings that each
-        repetition sets itself (``seed``, ``instance_weights``)."""
+        repetition sets itself (``TRAIN_KEYS_PER_REP``)."""
         doc = asdict(self)
-        del doc["train"]["seed"], doc["train"]["instance_weights"]
+        for key in TRAIN_KEYS_PER_REP:
+            del doc["train"][key]
         return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
     def config_hash(self) -> str:
@@ -128,6 +135,10 @@ class ExperimentConfig:
             raise UsageError(f"{path}: missing config key(s) {missing}")
         kwargs = dict(raw)
         kwargs["train"] = TrainConfig(**train_raw)
+        per_rep = [k for k in TRAIN_KEYS_PER_REP if k in train_raw]
+        if per_rep:
+            raise UsageError(f"{path}: train key(s) {per_rep} are set by each repetition, "
+                             "not by the config")
         return cls(**kwargs)
 
 
@@ -215,13 +226,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         domains = protected_domains(train)
         cfg = replace(config.train, seed=seed, instance_weights=None)
 
-        def fit(train_cfg):
-            if config.model_kind == "logistic":
-                return fit_logistic(train, train_cfg)
-            return fit_mlp(train, train_cfg, hidden_layers=hidden)
-
+        # REW's model is trained in the same descent as the main one; its
+        # weights are checked first, so that bad weights fail its cells alone
+        fitted = {}
+        companions = {}
+        if "rew" in config.methods:
+            try:
+                companions["rew"] = check_weights(reweighting_weights(train, domains))
+            except Exception as e:
+                fitted["rew"] = e
+        companion_weights = list(companions.values())
         try:
-            model = fit(cfg)
+            if config.model_kind == "logistic":
+                model, *companion_models = fit_logistic(
+                    train, cfg, companion_weights=companion_weights)
+            else:
+                model, *companion_models = fit_mlp(
+                    train, cfg, hidden_layers=hidden, companion_weights=companion_weights)
         except Exception as e:  # every cell of this repetition fails
             for method in config.methods:
                 records.append(RunRecord(
@@ -229,19 +250,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     error=f"{type(e).__name__}: {e}",
                 ))
             continue
-
-        # fits that only one method needs; a failed fit is raised in its cells alone
-        prerequisites = {
-            "rew": lambda: fit(replace(cfg, instance_weights=reweighting_weights(train, domains))),
-            "fairhome1": lambda: fit_extrapolation_models(train),
-        }
-        fitted = {}
-        for method, fit_prerequisite in prerequisites.items():
-            if method in config.methods:
-                try:
-                    fitted[method] = fit_prerequisite()
-                except Exception as e:
-                    fitted[method] = e
+        fitted.update(zip(companions, companion_models))
+        # a failed extrapolation fit is raised in the fairhome1 cells alone
+        if "fairhome1" in config.methods:
+            try:
+                fitted["fairhome1"] = fit_extrapolation_models(train)
+            except Exception as e:
+                fitted["fairhome1"] = e
 
         # the test split's group keys are factored once; each method scores a copy
         labeled = LabeledPredictions.from_dataset(test, test.labels)

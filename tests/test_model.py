@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,20 +321,74 @@ def test_descent_equals_the_reference_loop_bit_for_bit(case):
         assert np.array_equal(got, want)
 
 
+def model_params(model):
+    if isinstance(model, LogisticModel):
+        return [model.weights, model.bias]
+    return model.layer_weights + model.layer_biases
+
+
+@st.composite
+def lockstep_cases(draw):
+    train, config, hidden = draw(descent_cases())
+    rng = np.random.default_rng(config.seed)
+    companions = list(rng.uniform(0.2, 3.0, (draw(st.integers(0, 2)), len(train))))
+    return train, config, companions, hidden
+
+
+@settings(max_examples=80, deadline=None)
+@given(lockstep_cases())
+def test_lockstep_fit_equals_separate_fits_bit_for_bit(case):
+    """A fit given companion weight vectors returns K = 1 + len(companions)
+    models, each equal bit for bit to a separate fit with those weights."""
+    train, config, companions, hidden = case
+
+    def fit(cfg, **kwargs):
+        if not hidden:
+            return fit_logistic(train, cfg, **kwargs)
+        return fit_mlp(train, cfg, hidden_layers=hidden, **kwargs)
+
+    models = fit(config, companion_weights=companions)
+    separate = [fit(config)] + [fit(replace(config, instance_weights=w)) for w in companions]
+    assert len(models) == len(separate)
+    for got, want in zip(models, separate):
+        assert got.fingerprint() == want.fingerprint()
+        assert all(np.array_equal(a, b) for a, b in zip(model_params(got), model_params(want)))
+
+
+def test_companion_weights_are_checked_before_training():
+    train = separable_dataset()
+    for bad, message in (([np.zeros(20)], "positive and finite"),
+                         ([np.ones(19)], "length must equal the training size")):
+        with pytest.raises(UsageError, match=message):
+            fit_logistic(train, TrainConfig(epochs=1), companion_weights=bad)
+    [model] = fit_logistic(train, TrainConfig(epochs=1), companion_weights=[])
+    assert model.fingerprint() == fit_logistic(train, TrainConfig(epochs=1)).fingerprint()
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_gradient_only_functions_equal_loss_grad_gradients(n, d, seed):
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
+    """One call over K stacked parameter sets and weight rows gives, slice for
+    slice, the gradients of K two-dimensional ``*_loss_grad`` calls."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = rng.integers(0, 2, n).astype(float)
-    sw = rng.uniform(0.5, 2.0, n)
+    sw = rng.uniform(0.5, 2.0, (k, n))
+    share = (sw / sw.sum(axis=1, keepdims=True))[:, :, None]
     l2 = float(rng.choice([0.0, 1e-3]))
-    w, b = rng.normal(size=d), float(rng.normal())
-    gw, gb = logistic_grad(w, b, X, y, sw, l2)
-    _, lw, lb = logistic_loss_grad(w, b, X, y, sw, l2)
-    assert np.array_equal(gw, lw) and gb == lb
+    w, b = rng.normal(size=(k, d)), rng.normal(size=k)
+    gw, gb = logistic_grad(w[:, :, None], b[:, None, None], X, y[:, None], share, l2)
+    assert gw.shape == (k, d, 1) and gb.shape == (k, 1, 1)
+    for j in range(k):
+        _, lw, lb = logistic_loss_grad(w[j], float(b[j]), X, y, sw[j], l2)
+        assert np.array_equal(gw[j, :, 0], lw) and gb[j, 0, 0] == lb
 
-    weights, biases = init_mlp_params(d, (5, 3), seed=seed)
-    for got, want in zip(mlp_grad(weights, biases, X, y, sw, l2),
-                         mlp_loss_grad(weights, biases, X, y, sw, l2)[1:]):
-        assert all(np.array_equal(g, h) for g, h in zip(got, want))
+    sets = [init_mlp_params(d, (5, 3), seed=seed + j) for j in range(k)]
+    weights = [np.stack(layer) for layer in zip(*(ws for ws, _ in sets))]
+    biases = [np.stack(layer)[:, None, :] + 0.1 for layer in zip(*(bs for _, bs in sets))]
+    grads_w, grads_b = mlp_grad(weights, biases, X, y[:, None], share, l2)
+    for j in range(k):
+        _, lw, lb = mlp_loss_grad([W[j] for W in weights], [v[j, 0] for v in biases],
+                                  X, y, sw[j], l2)
+        assert all(np.array_equal(g[j], h) for g, h in zip(grads_w, lw))
+        assert all(np.array_equal(g[j, 0], h) for g, h in zip(grads_b, lb))

@@ -56,6 +56,27 @@ def test_rew_refits_model(tmp_path):
     assert fp["original"] != fp["rew"]
 
 
+def test_bad_rew_weights_fail_the_rew_cells_alone(tmp_path, monkeypatch):
+    """REW's weights are checked before the lockstep fit: when they are bad, the
+    main model trains alone, unchanged, and only the rew cells fail."""
+    import fairhome.runner
+
+    config = small_config(tmp_path, methods=("original", "fairhome", "rew"))
+    good = run_experiment(config)
+    monkeypatch.setattr(fairhome.runner, "reweighting_weights",
+                        lambda train, domains: np.zeros(len(train)))
+    bad = run_experiment(config)
+    assert len(bad.records) == len(good.records) == 6
+    for before, after in zip(good.records, bad.records):
+        assert before.error is None
+        if after.method == "rew":
+            assert after.error == "UsageError: instance_weights must be positive and finite"
+            assert after.model_fingerprint == ""
+        else:
+            assert after.error is None
+            assert after.model_fingerprint == before.model_fingerprint
+
+
 def test_original_record_matches_direct_evaluation(tmp_path):
     from fairhome.data import Schema, load_dataset, split, encode_matrix
     from fairhome.metrics import LabeledPredictions, compute_report
@@ -341,6 +362,12 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
          "instance_weights must be positive and finite"),
         ({"test_fraction": float("nan")}, "test_fraction must be in (0, 1), got nan"),
         ({"test_fraction": float("inf")}, "test_fraction must be in (0, 1), got inf"),
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ({"fairea_degrees": [0.0, float("nan"), 1.0]}, "degrees must be ascending numbers"),
+        ({"train": {"seed": 5, "instance_weights": [1.0, 2.0]}},
+         "train key(s) ['seed', 'instance_weights'] are set by each repetition"),
+        ({"train": {"instance_weights": [1.0, 2.0]}},
+         "train key(s) ['instance_weights'] are set by each repetition"),
     )]
     cases += [(json.dumps({k: v for k, v in base.items() if k not in absent}),
                f"{config_path}: missing config key(s) {sorted(absent)}")
