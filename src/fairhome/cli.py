@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .data import SubgroupKey
-from .errors import MetricUndefinedError, UsageError
+from .errors import DataError, MetricUndefinedError, SchemaError, UsageError
 from .metrics import LabeledPredictions, compute_report
 from .runner import (
     ExperimentConfig,
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:  # a bad config or argument, reported like argparse's
+    except (UsageError, SchemaError, DataError) as e:  # bad input, reported like argparse's
         print(f"fairhome: error: {e}", file=sys.stderr)
         return 2
 

@@ -94,8 +94,18 @@ class Schema:
 
     @classmethod
     def from_json(cls, path) -> "Schema":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The schema in the JSON file ``path``; a SchemaError names the path."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as e:  # not JSON, or not text
+            raise SchemaError(f"{path}: not a JSON file ({e})") from None
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{path}: schema must be a JSON object, not {type(doc).__name__}")
+        try:
+            return cls.from_dict(doc)
+        except SchemaError as e:
+            raise SchemaError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -121,16 +131,16 @@ class Dataset:
         return [Instance(r) for r in self.rows]
 
 
-def _parse_cell(raw: str, attr: AttributeSpec, line_no: int):
+def _parse_cell(raw: str, attr: AttributeSpec, where: str):
     if raw == "":
-        raise DataError(f"line {line_no}: missing value for {attr.name!r}")
+        raise DataError(f"{where}: missing value for {attr.name!r}")
     if attr.kind == NUMERIC:
         try:
             value = float(raw)
         except ValueError:
-            raise DataError(f"line {line_no}: non-numeric cell {raw!r} for {attr.name!r}") from None
+            raise DataError(f"{where}: non-numeric cell {raw!r} for {attr.name!r}") from None
         if not math.isfinite(value):
-            raise DataError(f"line {line_no}: non-finite value for {attr.name!r}")
+            raise DataError(f"{where}: non-finite value for {attr.name!r}")
         return value
     return raw
 
@@ -163,11 +173,10 @@ def load_dataset(path, schema: Schema) -> Dataset:
         rows: list[tuple] = []
         raw_labels: list[str] = []
         for line_no, cells in enumerate(reader, start=2):
+            where = f"{path}: line {line_no}"
             if len(cells) != len(header):
-                raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(cells)}")
-            parsed = tuple(
-                _parse_cell(cells[col[a.name]], a, line_no) for a in schema.attributes
-            )
+                raise DataError(f"{where}: expected {len(header)} cells, got {len(cells)}")
+            parsed = tuple(_parse_cell(cells[col[a.name]], a, where) for a in schema.attributes)
             rows.append(parsed)
             raw_labels.append(cells[label_col])
 

@@ -1,13 +1,15 @@
 """Trainable classifiers (logistic regression, feed-forward net) and reweighting.
 
-Both models are trained by seeded mini-batch gradient descent on weighted
-cross-entropy with an L2 penalty on weights (not biases), so training is
-deterministic given (data, config). One descent can train several parameter
-sets in lockstep that differ only in their sample weights (the runner trains
-each repetition's model and its REW model together); each set's weights are
-bit-identical to a separate fit. A training step computes gradients only
-(``logistic_grad``, ``mlp_grad``); ``logistic_loss_grad`` and ``mlp_loss_grad``
-add the loss to the same gradients, for finite-difference checking.
+Logistic regression is trained as the feed-forward net with no hidden layer,
+started at zero. Both models are trained by one seeded mini-batch gradient
+descent on weighted cross-entropy with an L2 penalty on weights (not biases),
+so training is deterministic given (data, config). A fit takes its per-row
+sample weights as one ``weights`` sequence and trains one model per entry in
+lockstep (the runner trains each repetition's model and its REW model
+together); each model's parameters are bit-identical to a separate fit. A
+training step computes gradients only (``mlp_grad``); ``mlp_loss_grad`` adds
+the loss to the same gradients, and ``logistic_loss_grad`` is its
+no-hidden-layer case, for finite-difference checking.
 """
 
 from __future__ import annotations
@@ -55,11 +57,8 @@ class TrainConfig:
     batch_size: int | None = 32  # None means full batch
     l2_penalty: float = 1e-4
     seed: int = 0
-    instance_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.instance_weights is not None:
-            self.instance_weights = np.asarray(self.instance_weights, dtype=float)
         check_field_types(self)
         # written so that NaN fails each comparison and is rejected
         if not 0 < self.learning_rate < np.inf:
@@ -70,15 +69,13 @@ class TrainConfig:
             raise UsageError("batch_size must be >= 1 or None")
         if not 0 <= self.l2_penalty < np.inf:
             raise UsageError(f"l2_penalty must be non-negative and finite, got {self.l2_penalty}")
-        if self.instance_weights is not None:
-            check_weights(self.instance_weights)
 
 
 def check_weights(weights) -> np.ndarray:
     """``weights`` as a float array; UsageError unless every entry is positive and finite."""
     weights = np.asarray(weights, dtype=float)
     if not ((weights > 0) & (weights < np.inf)).all():
-        raise UsageError("instance_weights must be positive and finite")
+        raise UsageError("weights must be positive and finite")
     return weights
 
 
@@ -90,26 +87,6 @@ def sigmoid(z):
 def _cross_entropy(z, y, share):
     """Weighted-mean cross-entropy of sigmoid(z): log(1+e^z) - y*z, stable via logaddexp."""
     return np.sum(share * (np.logaddexp(0.0, z) - y * z))
-
-
-def logistic_grad(w, b, X, y, share, l2):
-    """Gradients (w, b) of ``logistic_loss_grad``'s loss, without the loss.
-
-    ``share`` is each row's sample weight divided by the batch's total. ``X``
-    is (rows, dim); ``w`` (..., dim, 1), ``b`` (..., 1, 1), and the labels
-    ``y`` and ``share`` as (..., rows, 1) columns broadcast over any leading
-    axes, and the gradients have the shapes of ``w`` and ``b``.
-    """
-    g = share * (sigmoid(X @ w + b) - y)
-    return X.T @ g + l2 * w, g.sum(axis=-2, keepdims=True)
-
-
-def logistic_loss_grad(w, b, X, y, sample_w, l2):
-    """Weighted-mean cross-entropy + 0.5*l2*||w||^2, with analytic gradients."""
-    share = sample_w / sample_w.sum()
-    loss = float(_cross_entropy(X @ w + b, y, share) + 0.5 * l2 * np.dot(w, w))
-    gw, gb = logistic_grad(w[:, None], np.reshape(b, (1, 1)), X, y[:, None], share[:, None], l2)
-    return loss, gw[:, 0], float(gb[0, 0])
 
 
 def mlp_forward(weights, biases, X):
@@ -130,9 +107,11 @@ def mlp_forward(weights, biases, X):
 def mlp_grad(weights, biases, X, y, share, l2):
     """Per-layer gradients (weights, biases) of ``mlp_loss_grad``'s loss, without the loss.
 
-    Shaped as ``logistic_grad``'s arguments: ``X`` is (rows, dim), ``y`` and
-    ``share`` are (..., rows, 1) columns, and each weight matrix (..., fan_in,
-    fan_out) and bias (..., 1, fan_out) has the shape of its gradient.
+    ``share`` is each row's sample weight divided by the batch's total. ``X``
+    is (rows, dim); the labels ``y`` and ``share`` are (..., rows, 1) columns
+    that broadcast over any leading axes of the parameters; each weight matrix
+    (..., fan_in, fan_out) and bias (..., 1, fan_out) has the shape of its
+    gradient.
     """
     p, activations, _ = mlp_forward(weights, biases, X)
     grads_w = [None] * len(weights)
@@ -153,6 +132,13 @@ def mlp_loss_grad(weights, biases, X, y, sample_w, l2):
     loss = float(_cross_entropy(mlp_forward(weights, biases, X)[2][:, 0], y, share) + penalty)
     grads_w, grads_b = mlp_grad(weights, biases, X, y[:, None], share[:, None], l2)
     return loss, grads_w, [g[0] for g in grads_b]
+
+
+def logistic_loss_grad(w, b, X, y, sample_w, l2):
+    """Weighted-mean cross-entropy + 0.5*l2*||w||^2, with analytic gradients:
+    ``mlp_loss_grad`` of the net with no hidden layer."""
+    loss, (gw,), (gb,) = mlp_loss_grad([w[:, None]], [np.reshape(b, (1,))], X, y, sample_w, l2)
+    return loss, gw[:, 0], float(gb[0])
 
 
 @dataclass
@@ -223,41 +209,47 @@ def _batch_shares(sample_w, step):
     return shares
 
 
-def _descend(train: Dataset, config: TrainConfig, companion_weights, init, grad):
-    """Seeded mini-batch gradient descent shared by both models, over K >= 1
-    parameter sets in lockstep.
+def _descend(train: Dataset, config: TrainConfig, hidden_layers, weights):
+    """Seeded mini-batch gradient descent of the net with ``hidden_layers``,
+    over K >= 1 parameter sets in lockstep.
 
-    The sets share the rows, the seed, the initial values and the batch order,
-    and differ only in their sample weights: the config's ``instance_weights``
-    (ones when absent), then one vector per set from ``companion_weights``
-    (None for none). Each set's arithmetic is that of a separate fit, so its
-    weights are bit-identical to one. ``init(dim, k)`` returns the parameter
-    arrays, each with a leading K axis, which are updated in place;
-    ``grad(params, X, y, share, l2)`` returns only their gradients, in the same
-    order, for a batch ``X`` (rows, dim), labels ``y`` (1, rows, 1) and weight
-    shares (see ``_batch_shares``) ``share`` (K, rows, 1). Each epoch gathers
-    the rows, and their shares, in a fresh random order once and steps over
-    contiguous slices of ``batch_size`` rows; a full batch (``batch_size`` None
-    or at least the training size) draws no order. Returns the training
-    encoding and the trained parameters.
+    The sets share the rows, the seed, the initial values (``init_mlp_params``)
+    and the batch order, and differ only in their sample weights: one per-row
+    vector per entry of ``weights`` (None for all ones; ``weights`` None for
+    one unweighted set). Each set's arithmetic is that of a separate fit, so
+    its parameters are bit-identical to one. A step computes ``mlp_grad`` for a
+    batch ``X`` (rows, dim), labels ``y`` (1, rows, 1) and weight shares (see
+    ``_batch_shares``) ``share`` (K, rows, 1). Each epoch gathers the rows, and
+    their shares, in a fresh random order once and steps over contiguous slices
+    of ``batch_size`` rows; a full batch (``batch_size`` None or at least the
+    training size) draws no order. Returns the training encoding and the
+    trained weight matrices (K, fan_in, fan_out) and biases (K, 1, fan_out),
+    one of each per layer.
     """
     n = len(train)
     if n < 2:
         raise TrainingError("need at least 2 training rows")
     if len(set(train.labels)) < 2:
         raise TrainingError("training data contains a single label class")
-    given = [config.instance_weights, *map(check_weights, companion_weights or ())]
+    given = [None] if weights is None else list(weights)
+    if not given:
+        raise UsageError("weights must hold at least one entry (None for all ones)")
     sample_w = np.ones((len(given), n, 1))
-    for row, weights in zip(sample_w, given):
-        if weights is not None:
-            if len(weights) != n:
-                raise UsageError("instance_weights length must equal the training size")
-            row[:, 0] = weights
+    for row, w in zip(sample_w, given):
+        if w is not None:
+            w = check_weights(w)
+            if len(w) != n:
+                raise UsageError("weights length must equal the training size")
+            row[:, 0] = w
     encoding = build_encoding(train)
     X = encode_matrix(train.instances(), train.schema, encoding)
     y = np.asarray(train.labels, dtype=float)[None, :, None]
 
-    params = init(encoding.dim, len(sample_w))
+    init_w, init_b = init_mlp_params(encoding.dim, hidden_layers, config.seed)
+    # each parameter with a leading K axis, updated in place
+    layer_w = [np.tile(W, (len(given), 1, 1)) for W in init_w]
+    layer_b = [np.tile(b, (len(given), 1, 1)) for b in init_b]
+    params = layer_w + layer_b  # the same arrays, in the order of mlp_grad's gradients
     full_batch = config.batch_size is None or config.batch_size >= n
     step = n if full_batch else config.batch_size
     lr, l2 = config.learning_rate, config.l2_penalty
@@ -269,34 +261,37 @@ def _descend(train: Dataset, config: TrainConfig, companion_weights, init, grad)
             order = rng.permutation(n)
             X_e, y_e, share_e = X[order], y[:, order], _batch_shares(sample_w[:, order], step)
         for s in range(0, n, step):
-            grads = grad(params, X_e[s:s + step], y_e[:, s:s + step], share_e[:, s:s + step], l2)
-            for param, g in zip(params, grads):
+            grads_w, grads_b = mlp_grad(layer_w, layer_b, X_e[s:s + step], y_e[:, s:s + step],
+                                        share_e[:, s:s + step], l2)
+            for param, g in zip(params, grads_w + grads_b):
                 param -= lr * g
-    return encoding, params
+    return encoding, layer_w, layer_b
 
 
-def fit_logistic(train: Dataset, config: TrainConfig, *, companion_weights=None):
-    """Weighted logistic regression via gradient descent; zero-initialized.
+def fit_logistic(train: Dataset, config: TrainConfig, *, weights=None):
+    """Weighted logistic regression: the net with no hidden layer, trained from zero.
 
-    Returns the model. Given ``companion_weights``, a sequence of per-row weight
-    vectors, it also trains one model per vector in the same descent (see
-    ``_descend``) and returns ``[model, *companions]``.
+    Returns the model. Given ``weights``, a sequence of per-row weight vectors
+    (None for all ones), it trains one model per entry in one descent (see
+    ``_descend``) and returns them as a list, in order.
     """
-    encoding, (w, b) = _descend(
-        train, config, companion_weights,
-        lambda dim, k: [np.zeros((k, dim, 1)), np.zeros((k, 1, 1))],
-        lambda params, X, y, share, l2: logistic_grad(*params, X, y, share, l2),
-    )
+    encoding, (w,), (b,) = _descend(train, config, (), weights)
     models = [
         LogisticModel(weights=w_k, bias=float(b_k), encoding=encoding, schema=train.schema,
                       meta={"kind": "logistic", "seed": config.seed, "n_train": len(train)})
         for w_k, b_k in zip(w[:, :, 0], b[:, 0, 0])
     ]
-    return models[0] if companion_weights is None else models
+    return models[0] if weights is None else models
 
 
 def init_mlp_params(dim_in: int, hidden_layers, seed: int):
-    """Uniform[-r, r] with r = sqrt(6/(fan_in+fan_out)); biases start at zero."""
+    """Uniform[-r, r] with r = sqrt(6/(fan_in+fan_out)); biases start at zero.
+
+    A net without hidden layers (logistic regression) starts at zero: it has no
+    symmetry to break.
+    """
+    if not hidden_layers:
+        return [np.zeros((dim_in, 1))], [np.zeros(1)]
     rng = np.random.default_rng(seed)
     sizes = [dim_in, *hidden_layers, 1]
     weights, biases = [], []
@@ -308,32 +303,21 @@ def init_mlp_params(dim_in: int, hidden_layers, seed: int):
 
 
 def fit_mlp(train: Dataset, config: TrainConfig, hidden_layers=DEFAULT_HIDDEN_LAYERS, *,
-            companion_weights=None):
+            weights=None):
     """Fully-connected net with ReLU hidden layers and a sigmoid output unit.
 
-    Returns the model, or ``[model, *companions]`` given ``companion_weights``,
-    as ``fit_logistic`` does.
+    Returns the model, or one model per entry of ``weights`` as a list, as
+    ``fit_logistic`` does.
     """
-    n_layers = len(hidden_layers) + 1
-
-    def init(dim, k):
-        weights, biases = init_mlp_params(dim, hidden_layers, config.seed)
-        # (k, fan_in, fan_out) weights and (k, 1, fan_out) biases
-        return [np.tile(p, (k, 1, 1)) for p in weights + biases]
-
-    def grad(params, X, y, share, l2):
-        gw, gb = mlp_grad(params[:n_layers], params[n_layers:], X, y, share, l2)
-        return gw + gb
-
-    encoding, params = _descend(train, config, companion_weights, init, grad)
+    encoding, layer_w, layer_b = _descend(train, config, hidden_layers, weights)
     models = [
-        MlpModel(layer_weights=list(p_k[:n_layers]), layer_biases=[b[0] for b in p_k[n_layers:]],
+        MlpModel(layer_weights=list(ws), layer_biases=[b[0] for b in bs],
                  encoding=encoding, schema=train.schema,
                  meta={"kind": "mlp", "seed": config.seed, "n_train": len(train),
                        "hidden_layers": tuple(hidden_layers)})
-        for p_k in zip(*params)
+        for ws, bs in zip(zip(*layer_w), zip(*layer_b))
     ]
-    return models[0] if companion_weights is None else models
+    return models[0] if weights is None else models
 
 
 def favorable(p):

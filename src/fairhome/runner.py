@@ -2,9 +2,10 @@
 
 Each repetition re-splits with its own seed and trains one model that every
 method but REW shares. REW's reweighted model is trained in the same descent,
-in lockstep, with weights identical to those of a separate fit. Failures are
-isolated per cell so a long matrix never loses completed work. All randomness flows from the base
-seed, making report CSVs byte-identical across runs.
+in lockstep, with parameters identical to those of a separate fit. Failures
+are isolated per cell: a failed fit or method is recorded in its own cells and
+the matrix goes on. All randomness flows from the base seed, making report CSVs
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ VALID_METHODS = ("original", *FAIRHOME_VARIANTS, "rew")
 # the leading columns of metrics.csv, ahead of the report's metric columns
 RECORD_HEAD = ("task", "method", "repetition", "seed", "model_fingerprint", "status", "error")
 REGIONS = tuple(r.value for r in TradeoffRegion)
-# the train settings that each repetition sets itself, so a config may not
-TRAIN_KEYS_PER_REP = ("seed", "instance_weights")
 IMPROVEMENT_COLUMNS = ("task", "method", "metric", "original_mean", "method_mean",
                        "absolute_change", "relative_change_pct")
 
@@ -91,6 +90,9 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise UsageError(f"base_seed must be >= 0, got {self.base_seed}")
         check_test_fraction(self.test_fraction)
+        if self.train.seed != TrainConfig().seed:
+            raise UsageError(f"train seed is set by each repetition (base_seed + repetition), "
+                             f"got {self.train.seed}; set base_seed instead")
         self.methods = tuple(self.methods)
         self.fairea_degrees = check_curve_settings(self.fairea_degrees, self.fairea_reps)
 
@@ -100,11 +102,10 @@ class ExperimentConfig:
         return f"{stem}-{self.model_kind}"
 
     def to_dict(self) -> dict:
-        """The fields as JSON values, without the train settings that each
-        repetition sets itself (``TRAIN_KEYS_PER_REP``)."""
+        """The fields as JSON values, without the train seed, which each
+        repetition sets itself."""
         doc = asdict(self)
-        for key in TRAIN_KEYS_PER_REP:
-            del doc["train"][key]
+        del doc["train"]["seed"]
         return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
     def config_hash(self) -> str:
@@ -135,9 +136,8 @@ class ExperimentConfig:
             raise UsageError(f"{path}: missing config key(s) {missing}")
         kwargs = dict(raw)
         kwargs["train"] = TrainConfig(**train_raw)
-        per_rep = [k for k in TRAIN_KEYS_PER_REP if k in train_raw]
-        if per_rep:
-            raise UsageError(f"{path}: train key(s) {per_rep} are set by each repetition, "
+        if "seed" in train_raw:
+            raise UsageError(f"{path}: train key 'seed' is set by each repetition, "
                              "not by the config")
         return cls(**kwargs)
 
@@ -224,7 +224,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         seed = config.base_seed + rep
         train, test = split(dataset, config.test_fraction, seed)
         domains = protected_domains(train)
-        cfg = replace(config.train, seed=seed, instance_weights=None)
+        cfg = replace(config.train, seed=seed)
 
         # REW's model is trained in the same descent as the main one; its
         # weights are checked first, so that bad weights fail its cells alone
@@ -235,14 +235,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 companions["rew"] = check_weights(reweighting_weights(train, domains))
             except Exception as e:
                 fitted["rew"] = e
-        companion_weights = list(companions.values())
+        weights = [None, *companions.values()]
         try:
             if config.model_kind == "logistic":
-                model, *companion_models = fit_logistic(
-                    train, cfg, companion_weights=companion_weights)
+                model, *companion_models = fit_logistic(train, cfg, weights=weights)
             else:
-                model, *companion_models = fit_mlp(
-                    train, cfg, hidden_layers=hidden, companion_weights=companion_weights)
+                model, *companion_models = fit_mlp(train, cfg, hidden_layers=hidden,
+                                                   weights=weights)
         except Exception as e:  # every cell of this repetition fails
             for method in config.methods:
                 records.append(RunRecord(

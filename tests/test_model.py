@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +12,12 @@ from fairhome.model import (
     fit_mlp,
     init_mlp_params,
     load_model,
-    logistic_grad,
     logistic_loss_grad,
     mlp_grad,
     mlp_loss_grad,
     reweighting_weights,
     save_model,
+    sigmoid,
 )
 
 from conftest import make_dataset, make_schema, random_dataset
@@ -65,11 +63,10 @@ def test_logistic_separable_reaches_full_accuracy():
 
 def test_neutral_weights_match_absent_weights():
     ds = separable_dataset()
-    cfg_a = TrainConfig(seed=3)
-    cfg_b = TrainConfig(seed=3, instance_weights=np.ones(len(ds)))
-    m_a = fit_logistic(ds, cfg_a)
-    m_b = fit_logistic(ds, cfg_b)
-    assert np.array_equal(m_a.weights, m_b.weights) and m_a.bias == m_b.bias
+    m_a = fit_logistic(ds, TrainConfig(seed=3))
+    m_b, m_c = fit_logistic(ds, TrainConfig(seed=3), weights=[np.ones(len(ds)), None])
+    for m in (m_b, m_c):
+        assert np.array_equal(m_a.weights, m.weights) and m_a.bias == m.bias
 
 
 def test_single_class_training_rejected():
@@ -259,9 +256,21 @@ def test_save_load_round_trip(tmp_path):
             assert clone.predict_proba(inst) == model.predict_proba(inst)
 
 
-def reference_descend(train, config, params, loss_grad):
+def reference_logistic_loss_grad(w, b, X, y, sample_w, l2):
+    """Logistic regression's loss and gradients as they were computed before it
+    trained as the net with no hidden layer: the independent reference for the
+    zero-hidden-layer ``mlp_grad`` and for ``logistic_loss_grad``."""
+    share = sample_w / sample_w.sum()
+    z = X @ w + b
+    loss = float(np.sum(share * (np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * np.dot(w, w))
+    g = share[:, None] * (sigmoid(X @ w[:, None] + np.reshape(b, (1, 1))) - y[:, None])
+    return loss, (X.T @ g + l2 * w[:, None])[:, 0], float(g.sum(axis=-2, keepdims=True)[0, 0])
+
+
+def reference_descend(train, config, params, loss_grad, sample_w=None):
     """The slow descent loop that the lean one must match bit for bit: every
-    step fancy-indexes its batch and computes a loss that nothing reads."""
+    step fancy-indexes its batch and computes a loss that nothing reads.
+    ``sample_w`` None means all ones."""
     def batches(n, batch_size, rng):
         if batch_size is None or batch_size >= n:
             yield np.arange(n)
@@ -272,7 +281,7 @@ def reference_descend(train, config, params, loss_grad):
 
     X = encode_matrix(train.instances(), train.schema, build_encoding(train))
     y = np.asarray(train.labels, dtype=float)
-    sample_w = np.ones(len(train)) if config.instance_weights is None else config.instance_weights
+    sample_w = np.ones(len(train)) if sample_w is None else sample_w
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
         for idx in batches(len(train), config.batch_size, rng):
@@ -293,22 +302,22 @@ def descent_cases(draw):
     train.labels[:2] = [0, 1]  # both classes, so training can start
     weights = rng.uniform(0.2, 3.0, n) if draw(st.booleans()) else None
     config = TrainConfig(learning_rate=0.1, epochs=draw(st.integers(1, 3)),
-                         batch_size=batch_size, seed=seed, instance_weights=weights)
-    return train, config, draw(st.sampled_from([(), (4,), (3, 2)]))
+                         batch_size=batch_size, seed=seed)
+    return train, config, weights, draw(st.sampled_from([(), (4,), (3, 2)]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(descent_cases())
 def test_descent_equals_the_reference_loop_bit_for_bit(case):
-    train, config, hidden = case
+    train, config, sample_w, hidden = case
     dim = build_encoding(train).dim
     if not hidden:
-        model = fit_logistic(train, config)
+        [model] = fit_logistic(train, config, weights=[sample_w])
         w, b = reference_descend(train, config, [np.zeros(dim), np.zeros(())],
-                                 lambda p, *a: logistic_loss_grad(*p, *a)[1:])
+                                 lambda p, *a: reference_logistic_loss_grad(*p, *a)[1:], sample_w)
         assert np.array_equal(model.weights, w) and model.bias == float(b)
         return
-    model = fit_mlp(train, config, hidden_layers=hidden)
+    [model] = fit_mlp(train, config, hidden_layers=hidden, weights=[sample_w])
     k = len(hidden) + 1
 
     def loss_grad(params, *args):
@@ -316,7 +325,7 @@ def test_descent_equals_the_reference_loop_bit_for_bit(case):
         return gw + gb
 
     weights, biases = init_mlp_params(dim, hidden, config.seed)
-    params = reference_descend(train, config, weights + biases, loss_grad)
+    params = reference_descend(train, config, weights + biases, loss_grad, sample_w)
     for got, want in zip(model.layer_weights + model.layer_biases, params):
         assert np.array_equal(got, want)
 
@@ -329,47 +338,53 @@ def model_params(model):
 
 @st.composite
 def lockstep_cases(draw):
-    train, config, hidden = draw(descent_cases())
+    train, config, _, hidden = draw(descent_cases())
     rng = np.random.default_rng(config.seed)
-    companions = list(rng.uniform(0.2, 3.0, (draw(st.integers(0, 2)), len(train))))
-    return train, config, companions, hidden
+    weights = [rng.uniform(0.2, 3.0, len(train)) if draw(st.booleans()) else None
+               for _ in range(draw(st.integers(1, 3)))]
+    return train, config, weights, hidden
 
 
 @settings(max_examples=80, deadline=None)
 @given(lockstep_cases())
 def test_lockstep_fit_equals_separate_fits_bit_for_bit(case):
-    """A fit given companion weight vectors returns K = 1 + len(companions)
-    models, each equal bit for bit to a separate fit with those weights."""
-    train, config, companions, hidden = case
+    """A fit given K weight vectors (None among them) returns K models, each
+    equal bit for bit to a separate fit with that vector alone; a None entry
+    equals the fit without weights."""
+    train, config, weights, hidden = case
 
-    def fit(cfg, **kwargs):
+    def fit(**kwargs):
         if not hidden:
-            return fit_logistic(train, cfg, **kwargs)
-        return fit_mlp(train, cfg, hidden_layers=hidden, **kwargs)
+            return fit_logistic(train, config, **kwargs)
+        return fit_mlp(train, config, hidden_layers=hidden, **kwargs)
 
-    models = fit(config, companion_weights=companions)
-    separate = [fit(config)] + [fit(replace(config, instance_weights=w)) for w in companions]
+    models = fit(weights=weights)
+    separate = [fit() if w is None else fit(weights=[w])[0] for w in weights]
     assert len(models) == len(separate)
     for got, want in zip(models, separate):
         assert got.fingerprint() == want.fingerprint()
         assert all(np.array_equal(a, b) for a, b in zip(model_params(got), model_params(want)))
 
 
-def test_companion_weights_are_checked_before_training():
+def test_weights_are_checked_before_training():
     train = separable_dataset()
     for bad, message in (([np.zeros(20)], "positive and finite"),
-                         ([np.ones(19)], "length must equal the training size")):
-        with pytest.raises(UsageError, match=message):
-            fit_logistic(train, TrainConfig(epochs=1), companion_weights=bad)
-    [model] = fit_logistic(train, TrainConfig(epochs=1), companion_weights=[])
+                         ([None, np.ones(19)], "length must equal the training size"),
+                         ([], "at least one entry")):
+        for fit in (fit_logistic, lambda *a, **k: fit_mlp(*a, hidden_layers=(2,), **k)):
+            with pytest.raises(UsageError, match=message):
+                fit(train, TrainConfig(epochs=1), weights=bad)
+    [model] = fit_logistic(train, TrainConfig(epochs=1), weights=[None])
     assert model.fingerprint() == fit_logistic(train, TrainConfig(epochs=1)).fingerprint()
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
-    """One call over K stacked parameter sets and weight rows gives, slice for
-    slice, the gradients of K two-dimensional ``*_loss_grad`` calls."""
+    """One ``mlp_grad`` call over K stacked parameter sets and weight rows
+    gives, slice for slice, the gradients of K two-dimensional loss-and-gradient
+    calls: with no hidden layer, those of the reference logistic formula (and
+    of ``logistic_loss_grad``); with hidden layers, those of ``mlp_loss_grad``."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = rng.integers(0, 2, n).astype(float)
@@ -377,11 +392,14 @@ def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
     share = (sw / sw.sum(axis=1, keepdims=True))[:, :, None]
     l2 = float(rng.choice([0.0, 1e-3]))
     w, b = rng.normal(size=(k, d)), rng.normal(size=k)
-    gw, gb = logistic_grad(w[:, :, None], b[:, None, None], X, y[:, None], share, l2)
+    (gw,), (gb,) = mlp_grad([w[:, :, None]], [b[:, None, None]], X, y[:, None], share, l2)
     assert gw.shape == (k, d, 1) and gb.shape == (k, 1, 1)
     for j in range(k):
-        _, lw, lb = logistic_loss_grad(w[j], float(b[j]), X, y, sw[j], l2)
+        loss, lw, lb = reference_logistic_loss_grad(w[j], float(b[j]), X, y, sw[j], l2)
         assert np.array_equal(gw[j, :, 0], lw) and gb[j, 0, 0] == lb
+        got_loss, got_w, got_b = logistic_loss_grad(w[j], float(b[j]), X, y, sw[j], l2)
+        assert got_loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
+        assert np.array_equal(got_w, lw) and got_b == lb and got_w.shape == (d,)
 
     sets = [init_mlp_params(d, (5, 3), seed=seed + j) for j in range(k)]
     weights = [np.stack(layer) for layer in zip(*(ws for ws, _ in sets))]

@@ -70,7 +70,7 @@ def test_bad_rew_weights_fail_the_rew_cells_alone(tmp_path, monkeypatch):
     for before, after in zip(good.records, bad.records):
         assert before.error is None
         if after.method == "rew":
-            assert after.error == "UsageError: instance_weights must be positive and finite"
+            assert after.error == "UsageError: weights must be positive and finite"
             assert after.model_fingerprint == ""
         else:
             assert after.error is None
@@ -138,6 +138,27 @@ def test_config_from_json_train_overrides(tmp_path):
     assert config.train.learning_rate == 0.2
     assert config.base_seed == 5
     assert config.repetitions == 2
+
+
+def test_config_in_python_rejects_a_train_seed(tmp_path):
+    """Each repetition sets the train seed from ``base_seed``, so a config that
+    sets it is rejected, built in Python or read from a file alike."""
+    from fairhome.errors import UsageError
+    from fairhome.model import TrainConfig
+
+    with pytest.raises(UsageError, match="train seed is set by each repetition"):
+        small_config(tmp_path, train=TrainConfig(seed=5))
+    assert small_config(tmp_path, train=TrainConfig(seed=0, epochs=3)).train.epochs == 3
+
+
+def test_manifest_config_hash_is_pinned():
+    """The manifest's config and its hash leave out the per-repetition train
+    seed and hold no field that a config file may not set."""
+    config = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent
+                                        / "configs" / "german_logistic.json")
+    assert config.config_hash() == "70ea1b4bf1ea6071"
+    assert sorted(config.to_dict()["train"]) == [
+        "batch_size", "epochs", "l2_penalty", "learning_rate"]
 
 
 def test_fairhome5_two_attribute_fallback(tmp_path):
@@ -317,10 +338,13 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
     """Bad Fairea settings, unknown or missing config keys, config values of
     the wrong type or not finite, missing data files and config files that are
-    not a JSON object: exit 2 before loading any data. ``fairhome report`` on a
-    missing file or a regions file without a region column: exit 2 before
-    writing anything."""
+    not a JSON object: exit 2 before loading any data. A schema file that is
+    not JSON or declares an unknown attribute kind, and a data file with an
+    empty cell: exit 2 before training. ``fairhome report`` on a missing file
+    or a regions file without a region column: exit 2 before writing
+    anything."""
     import fairhome.runner
+    from fairhome.data import load_dataset
 
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
@@ -339,6 +363,15 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         "output_dir": str(tmp_path / "out"),
     }
     missing = str(tmp_path / "missing.csv")
+
+    def run_exits_2(message):
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert not (tmp_path / "out").exists()
+
     cases = [(json.dumps({**base, **bad}), message) for bad, message in (
         ({"fairea_reps": 0}, "reps must be"),
         ({"modle_kind": "mlp"}, "unknown config key(s) ['modle_kind']"),
@@ -358,16 +391,14 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"train": {"learning_rate": float("inf")}}, "learning_rate must be positive and finite"),
         ({"train": {"l2_penalty": float("nan")}}, "l2_penalty must be non-negative and finite"),
         ({"train": {"l2_penalty": float("inf")}}, "l2_penalty must be non-negative and finite"),
-        ({"train": {"instance_weights": [1.0, float("nan")]}},
-         "instance_weights must be positive and finite"),
         ({"test_fraction": float("nan")}, "test_fraction must be in (0, 1), got nan"),
         ({"test_fraction": float("inf")}, "test_fraction must be in (0, 1), got inf"),
         ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
         ({"fairea_degrees": [0.0, float("nan"), 1.0]}, "degrees must be ascending numbers"),
-        ({"train": {"seed": 5, "instance_weights": [1.0, 2.0]}},
-         "train key(s) ['seed', 'instance_weights'] are set by each repetition"),
+        ({"train": {"seed": 5}}, "train key 'seed' is set by each repetition"),
+        ({"train": {"seed": 0}}, "train key 'seed' is set by each repetition"),
         ({"train": {"instance_weights": [1.0, 2.0]}},
-         "train key(s) ['instance_weights'] are set by each repetition"),
+         "unknown train key(s) ['instance_weights']"),
     )]
     cases += [(json.dumps({k: v for k, v in base.items() if k not in absent}),
                f"{config_path}: missing config key(s) {sorted(absent)}")
@@ -376,14 +407,31 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
               ('{"methods": ', f"{config_path}: not a JSON file")]
     for text, message in cases:
         config_path.write_text(text)
-        capsys.readouterr()
-        assert cli_main(["run", "--config", str(config_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and message in captured.err
-        assert not (tmp_path / "out").exists()
+        run_exits_2(message)
     assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
     assert f"{tmp_path / 'none.json'}: No such file" in capsys.readouterr().err
+
+    # bad schema and data files, which are read before training
+    monkeypatch.setattr(fairhome.runner, "load_dataset", load_dataset)
+    schema_path, data_path = tmp_path / "schema.json", tmp_path / "data.csv"
+    config_path.write_text(json.dumps(
+        {**base, "schema_path": str(schema_path), "dataset_path": str(data_path)}))
+    schema = json.loads((FIXTURES / "german_synth.schema.json").read_text())
+    bad_kind = {**schema, "attributes": [{"name": "checking_status", "kind": "text"},
+                                         *schema["attributes"][1:]]}
+    rows = (FIXTURES / "german_synth.csv").read_text().splitlines()
+    empty_cell = [*rows[:2], "," + rows[2].split(",", 1)[1], *rows[3:]]
+    for schema_text, data_rows, message in (
+        ('{"attributes": ', rows, f"{schema_path}: not a JSON file"),
+        ("[1, 2]", rows, f"{schema_path}: schema must be a JSON object, not list"),
+        (json.dumps(bad_kind), rows,
+         f"{schema_path}: unknown kind 'text' for attribute 'checking_status'"),
+        (json.dumps(schema), empty_cell,
+         f"{data_path}: line 3: missing value for 'checking_status'"),
+    ):
+        schema_path.write_text(schema_text)
+        data_path.write_text("\n".join(data_rows))
+        run_exits_2(f"fairhome: error: {message}")
     for args in (["--records", missing],
                  ["--records", str(FIXTURES / "german_synth.csv"), "--regions", missing]):
         assert cli_main(["report", *args, "--out", str(tmp_path / "out")]) == 2
