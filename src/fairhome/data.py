@@ -82,10 +82,14 @@ class Schema:
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
         try:
-            attrs = tuple(AttributeSpec(a["name"], a["kind"]) for a in d["attributes"])
+            entries, protected = d["attributes"], d["protected"]
+            if not isinstance(entries, list) or not all(isinstance(a, dict) for a in entries):
+                raise SchemaError("attributes must be a list of JSON objects")
+            if not isinstance(protected, list) or not all(isinstance(p, str) for p in protected):
+                raise SchemaError("protected must be a list of strings")
             return cls(
-                attributes=attrs,
-                protected=tuple(d["protected"]),
+                attributes=tuple(AttributeSpec(a["name"], a["kind"]) for a in entries),
+                protected=tuple(protected),
                 label_column=d["label_column"],
                 favorable_value=str(d["favorable_value"]),
             )

@@ -83,7 +83,7 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
 
     Column 0 scores each instance as given; column 1 + j scores it with its
     protected values replaced by ``domains.joint_combos[j]`` and, when ``corr``
-    is given, its numeric features shifted and clamped as correlated-features
+    is given, its numeric features moved by ``corr.shifted``, as correlated-features
     mutation does. The classifier needs ``encoding`` and ``proba_matrix``.
     """
     schema, combos, encoding = domains.schema, domains.joint_combos, classifier.encoding
@@ -102,18 +102,12 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
     rows = np.where(rewrite, template, X[:, None, :])  # (N, 1 + C, dim)
 
     if corr is not None:
-        own = [domains.combo_of(inst) for inst in instances]
-        for feature in corr.coefficients:
+        shifted = corr.shifted(instances, combos)  # (N, C, features)
+        for feature, values in zip(corr.features, shifted.transpose(2, 0, 1)):
             i = schema.index_of(feature)
-            target = np.array([corr.predict(feature, c) for c in combos])
-            own_target = {o: corr.predict(feature, o) for o in set(own)}
-            origin = np.array([own_target[o] for o in own])
-            raw = np.array([inst.values[i] for inst in instances], dtype=float)
-            lo, hi = corr.ranges[feature]
-            shifted = np.clip(raw[:, None] + (target - origin[:, None]), lo, hi)
             block = encoding.blocks[i]
             span = block.hi - block.lo
-            scaled = np.zeros_like(shifted) if span == 0 else (shifted - block.lo) / span
+            scaled = np.zeros_like(values) if span == 0 else (values - block.lo) / span
             rows[:, 1:, starts[i]] = np.clip(scaled, 0.0, 1.0)  # as encode scales
 
     return classifier.proba_matrix(rows.reshape(-1, encoding.dim)).reshape(rows.shape[:2])

@@ -3,7 +3,7 @@
 A mutant is a copy of the input whose protected values are replaced by a
 different training-observed joint combination; non-protected cells stay fixed
 except under the correlated-features variant, which shifts numeric features by
-the delta predicted from the protected attributes.
+the delta predicted from the protected attributes (``CorrelationModel.shifted``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import NUMERIC, Dataset, Instance, ProtectedDomains, protected_domains
+from .data import NUMERIC, Dataset, Instance, ProtectedDomains
 from .errors import UsageError
 
 
@@ -31,6 +31,14 @@ class MutantSet:
     strategy: MutationStrategy
 
 
+def _indicators(protected: tuple, columns: tuple, combos) -> np.ndarray:
+    """(len(combos), len(columns)) 0/1 matrix: 1 where a combination holds the
+    column's (attribute, level)."""
+    keys = [(protected.index(attr), level) for attr, level in columns]
+    rows = [[float(combo[a] == level) for a, level in keys] for combo in combos]
+    return np.array(rows).reshape(len(combos), len(columns))
+
+
 @dataclass
 class CorrelationModel:
     """Per numeric non-protected feature: a linear model over protected indicators.
@@ -42,19 +50,30 @@ class CorrelationModel:
 
     schema: object
     columns: tuple  # ((attribute, level), ...) indicator columns
-    coefficients: dict  # feature name -> array [intercept, *column coefs]
-    ranges: dict  # feature name -> (train min, train max)
+    features: tuple  # the modelled feature names
+    coefficients: np.ndarray  # (1 + len(columns), len(features)): intercepts, then column coefs
+    ranges: np.ndarray  # (len(features), 2): each feature's train min and max
     degenerate: bool = False
 
-    def _indicator(self, combo) -> np.ndarray:
-        lookup = dict(zip(self.schema.protected, combo))
-        return np.array([1.0 if lookup[a] == level else 0.0 for a, level in self.columns])
+    def predict(self, combos) -> np.ndarray:
+        """(len(combos), len(features)) predictions: one matrix product, summed column
+        by column as a per-feature dot product sums (a BLAS product may round otherwise)."""
+        X = _indicators(self.schema.protected, self.columns, combos)
+        total = np.zeros((len(combos), len(self.features)))
+        for j in range(len(self.columns)):
+            total += X[:, j, None] * self.coefficients[1 + j]
+        return self.coefficients[0] + total
 
-    def predict(self, feature: str, combo) -> float:
-        coefs = self.coefficients[feature]
-        if len(self.columns) == 0:
-            return float(coefs[0])
-        return float(coefs[0] + self._indicator(combo) @ coefs[1:])
+    def shifted(self, instances, targets) -> np.ndarray:
+        """(N, C, len(features)) values of N instances shifted from their own combination
+        to each of C targets by the predicted difference, clamped to the training range."""
+        p_idx = self.schema.protected_indices
+        f_idx = [self.schema.index_of(f) for f in self.features]
+        own = [tuple(inst.values[i] for i in p_idx) for inst in instances]
+        distinct = {o: r for r, o in enumerate(dict.fromkeys(own))}
+        origin = self.predict(list(distinct))[[distinct[o] for o in own]]
+        raw = np.array([[inst.values[i] for i in f_idx] for inst in instances], dtype=float)
+        return np.clip(raw[:, None] + (self.predict(targets) - origin[:, None]), *self.ranges.T)
 
 
 def fit_extrapolation_models(train: Dataset) -> CorrelationModel:
@@ -62,45 +81,27 @@ def fit_extrapolation_models(train: Dataset) -> CorrelationModel:
     if len(train) < 2:
         raise UsageError("need at least 2 rows to fit extrapolation models")
     schema = train.schema
-    numeric_features = [
-        a.name for a in schema.attributes
-        if a.kind == NUMERIC and a.name not in schema.protected
-    ]
-    if not numeric_features:
+    features = tuple(a.name for a in schema.attributes
+                     if a.kind == NUMERIC and a.name not in schema.protected)
+    if not features:
         raise UsageError("no numeric non-protected features to extrapolate")
 
-    domains = protected_domains(train)
-    columns = tuple(
-        (attr, level)
-        for attr in schema.protected
-        for level in domains.per_attribute[attr][1:]
-    )
-    combos = [domains.combo_of(inst) for inst in train.instances()]
-    n = len(train)
-    design = np.ones((n, 1 + len(columns)))
-    for j, (attr, level) in enumerate(columns, start=1):
-        a_pos = schema.protected.index(attr)
-        design[:, j] = [1.0 if combo[a_pos] == level else 0.0 for combo in combos]
-
-    targets = np.array(
-        [[row[schema.index_of(f)] for f in numeric_features] for row in train.rows]
-    )
+    # levels come from the rows: protected_domains would warn a second time
+    idx = schema.protected_indices
+    combos = [tuple(row[i] for i in idx) for row in train.rows]
+    columns = tuple((attr, level) for a, attr in enumerate(schema.protected)
+                    for level in sorted({combo[a] for combo in combos})[1:])
+    design = np.hstack([np.ones((len(train), 1)), _indicators(schema.protected, columns, combos)])
+    targets = np.array([[row[schema.index_of(f)] for f in features] for row in train.rows])
     solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
 
     degenerate = rank < design.shape[1] or len(columns) == 0
-    coefficients = {}
-    ranges = {}
-    for k, feature in enumerate(numeric_features):
-        col = targets[:, k]
-        if degenerate:
-            coefs = np.zeros(1 + len(columns))
-            coefs[0] = col.mean()
-        else:
-            coefs = solution[:, k]
-        coefficients[feature] = coefs
-        ranges[feature] = (float(col.min()), float(col.max()))
-    return CorrelationModel(schema=schema, columns=columns, coefficients=coefficients,
-                            ranges=ranges, degenerate=degenerate)
+    if degenerate:  # intercept-only models: each feature's mean
+        solution = np.zeros_like(solution)
+        solution[0] = [targets[:, k].mean() for k in range(len(features))]
+    ranges = np.column_stack([targets.min(axis=0), targets.max(axis=0)])
+    return CorrelationModel(schema=schema, columns=columns, features=features,
+                            coefficients=solution, ranges=ranges, degenerate=degenerate)
 
 
 def _hamming(a, b) -> int:
@@ -137,21 +138,18 @@ def generate_mutants(
     if strategy is MutationStrategy.CORRELATED_FEATURES and corr is None:
         raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
 
-    schema = domains.schema
-    p_idx = schema.protected_indices
-    original_combo = domains.combo_of(instance)
+    targets = [domains.joint_combos[j]
+               for j in mutant_positions(domains.combo_of(instance), domains, strategy)]
+    indices, rows = domains.schema.protected_indices, targets
+    if strategy is MutationStrategy.CORRELATED_FEATURES:
+        indices += tuple(domains.schema.index_of(f) for f in corr.features)
+        shifted = corr.shifted([instance], targets)[0].tolist()
+        rows = [(*combo, *values) for combo, values in zip(targets, shifted)]
 
     mutants = []
-    for j in mutant_positions(original_combo, domains, strategy):
-        combo = domains.joint_combos[j]
+    for row in rows:
         values = list(instance.values)
-        for i, v in zip(p_idx, combo):
+        for i, v in zip(indices, row):
             values[i] = v
-        if strategy is MutationStrategy.CORRELATED_FEATURES:
-            for feature in corr.coefficients:
-                i = schema.index_of(feature)
-                delta = corr.predict(feature, combo) - corr.predict(feature, original_combo)
-                lo, hi = corr.ranges[feature]
-                values[i] = min(hi, max(lo, values[i] + delta))
         mutants.append(Instance(tuple(values)))
     return MutantSet(original=instance, mutants=tuple(mutants), strategy=strategy)

@@ -339,8 +339,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     """Bad Fairea settings, unknown or missing config keys, config values of
     the wrong type or not finite, missing data files and config files that are
     not a JSON object: exit 2 before loading any data. A schema file that is
-    not JSON or declares an unknown attribute kind, and a data file with an
-    empty cell: exit 2 before training. ``fairhome report`` on a missing file
+    not JSON, declares an unknown attribute kind, holds an attribute entry that
+    is not an object or a ``protected`` that is not a list of strings, and a
+    data file with an empty cell: exit 2 before training. ``fairhome report`` on a missing file
     or a regions file without a region column: exit 2 before writing
     anything."""
     import fairhome.runner
@@ -426,6 +427,10 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ("[1, 2]", rows, f"{schema_path}: schema must be a JSON object, not list"),
         (json.dumps(bad_kind), rows,
          f"{schema_path}: unknown kind 'text' for attribute 'checking_status'"),
+        (json.dumps({**schema, "attributes": [1]}), rows,
+         f"{schema_path}: attributes must be a list of JSON objects"),
+        (json.dumps({**schema, "protected": "ab"}), rows,
+         f"{schema_path}: protected must be a list of strings"),
         (json.dumps(schema), empty_cell,
          f"{data_path}: line 3: missing value for 'checking_status'"),
     ):
