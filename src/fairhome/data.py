@@ -7,6 +7,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class Schema:
     def kind_of(self, name: str) -> str:
         return self.attributes[self.index_of(name)].kind
 
-    @property
+    @cached_property  # the schema is frozen; computed once, on first use
     def protected_indices(self) -> tuple[int, ...]:
         return tuple(self.index_of(p) for p in self.protected)
 

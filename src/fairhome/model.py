@@ -5,11 +5,13 @@ started at zero. Both models are trained by one seeded mini-batch gradient
 descent on weighted cross-entropy with an L2 penalty on weights (not biases),
 so training is deterministic given (data, config). A fit takes its per-row
 sample weights as one ``weights`` sequence and trains one model per entry in
-lockstep (the runner trains each repetition's model and its REW model
-together); each model's parameters are bit-identical to a separate fit. A
-training step computes gradients only (``mlp_grad``); ``mlp_loss_grad`` adds
-the loss to the same gradients, and ``logistic_loss_grad`` is its
-no-hidden-layer case, for finite-difference checking.
+lockstep; given a sequence of datasets (with one config and one ``weights``
+entry each), it trains those of equal shape in lockstep too. The runner trains
+every repetition's model and its REW model in one call. Each model's
+parameters are bit-identical to a separate fit. A training step computes
+gradients only (``mlp_grad``); ``mlp_loss_grad`` adds the loss to the same
+gradients, and ``logistic_loss_grad`` is its no-hidden-layer case, for
+finite-difference checking.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -107,11 +109,12 @@ def mlp_forward(weights, biases, X):
 def mlp_grad(weights, biases, X, y, share, l2):
     """Per-layer gradients (weights, biases) of ``mlp_loss_grad``'s loss, without the loss.
 
-    ``share`` is each row's sample weight divided by the batch's total. ``X``
-    is (rows, dim); the labels ``y`` and ``share`` are (..., rows, 1) columns
-    that broadcast over any leading axes of the parameters; each weight matrix
+    ``share`` is each row's sample weight divided by the batch's total. The
+    rows ``X`` (..., rows, dim), labels ``y`` and ``share`` (..., rows, 1)
+    broadcast over the leading axes of the parameters (in the descent, each
+    dataset's rows and labels over its K parameter sets); each weight matrix
     (..., fan_in, fan_out) and bias (..., 1, fan_out) has the shape of its
-    gradient.
+    gradient. Each (rows, dim) slice is its own BLAS product.
     """
     p, activations, _ = mlp_forward(weights, biases, X)
     grads_w = [None] * len(weights)
@@ -192,96 +195,165 @@ class MlpModel:
         }
 
 
-def _batch_shares(sample_w, step):
-    """Each row's weight divided by its batch's total, for batches of ``step``
-    consecutive rows; ``sample_w`` and the result are (K, rows, 1).
-
-    Every total is summed over a C-contiguous block, as a separate fit's 1-D
-    batch sum is: summed as a strided slice, a total can round differently.
-    """
-    k, n, _ = sample_w.shape
-    shares = np.empty_like(sample_w)
-    whole = n - n % step  # the rows in batches of exactly ``step``
-    for lo, hi, size in ((0, whole, step), (whole, n, n - whole)):
-        if lo < hi:
-            blocks = np.ascontiguousarray(sample_w[:, lo:hi]).reshape(k, -1, size)
-            shares[:, lo:hi] = (blocks / blocks.sum(axis=-1, keepdims=True)).reshape(k, -1, 1)
-    return shares
-
-
-def _descend(train: Dataset, config: TrainConfig, hidden_layers, weights):
-    """Seeded mini-batch gradient descent of the net with ``hidden_layers``,
-    over K >= 1 parameter sets in lockstep.
-
-    The sets share the rows, the seed, the initial values (``init_mlp_params``)
-    and the batch order, and differ only in their sample weights: one per-row
-    vector per entry of ``weights`` (None for all ones; ``weights`` None for
-    one unweighted set). Each set's arithmetic is that of a separate fit, so
-    its parameters are bit-identical to one. A step computes ``mlp_grad`` for a
-    batch ``X`` (rows, dim), labels ``y`` (1, rows, 1) and weight shares (see
-    ``_batch_shares``) ``share`` (K, rows, 1). Each epoch gathers the rows, and
-    their shares, in a fresh random order once and steps over contiguous slices
-    of ``batch_size`` rows; a full batch (``batch_size`` None or at least the
-    training size) draws no order. Returns the training encoding and the
-    trained weight matrices (K, fan_in, fan_out) and biases (K, 1, fan_out),
-    one of each per layer.
-    """
-    n = len(train)
-    if n < 2:
+def check_trainable(train: Dataset) -> None:
+    """TrainingError unless ``train`` has at least 2 rows and both label classes."""
+    if len(train) < 2:
         raise TrainingError("need at least 2 training rows")
     if len(set(train.labels)) < 2:
         raise TrainingError("training data contains a single label class")
+
+
+def _sample_weights(weights, n: int) -> np.ndarray:
+    """The (n, K) per-row sample weights of one ``weights`` entry: K vectors
+    (None for all ones), or None for one unweighted set."""
     given = [None] if weights is None else list(weights)
     if not given:
         raise UsageError("weights must hold at least one entry (None for all ones)")
-    sample_w = np.ones((len(given), n, 1))
-    for row, w in zip(sample_w, given):
+    sample_w = np.ones((n, len(given)))
+    for column, w in enumerate(given):
         if w is not None:
             w = check_weights(w)
             if len(w) != n:
                 raise UsageError("weights length must equal the training size")
-            row[:, 0] = w
-    encoding = build_encoding(train)
-    X = encode_matrix(train.instances(), train.schema, encoding)
-    y = np.asarray(train.labels, dtype=float)[None, :, None]
+            sample_w[:, column] = w
+    return sample_w
 
-    init_w, init_b = init_mlp_params(encoding.dim, hidden_layers, config.seed)
-    # each parameter with a leading K axis, updated in place
-    layer_w = [np.tile(W, (len(given), 1, 1)) for W in init_w]
-    layer_b = [np.tile(b, (len(given), 1, 1)) for b in init_b]
+
+def _batch_shares(sample_w, step):
+    """Each row's weight divided by its batch's total, for batches of ``step``
+    consecutive rows; ``sample_w`` and the result are (..., rows, 1).
+
+    Every total is summed over a C-contiguous block, as a separate fit's 1-D
+    batch sum is: summed as a strided slice, a total can round differently.
+    """
+    *lead, n, _ = sample_w.shape
+    shares = np.empty_like(sample_w)
+    whole = n - n % step  # the rows in batches of exactly ``step``
+    for lo, hi, size in ((0, whole, step), (whole, n, n - whole)):
+        if lo < hi:
+            blocks = np.ascontiguousarray(sample_w[..., lo:hi, :]).reshape(*lead, -1, size)
+            shares[..., lo:hi, :] = (blocks / blocks.sum(axis=-1, keepdims=True)).reshape(
+                *lead, -1, 1)
+    return shares
+
+
+def _descend(X, y, sample_w, seeds, config: TrainConfig, hidden_layers):
+    """Seeded mini-batch gradient descent of the net with ``hidden_layers``,
+    over R datasets x K parameter sets in lockstep.
+
+    The R = ``len(seeds)`` datasets share their size n, the encoding width
+    and ``config`` apart from the seed; their rows come one dataset after
+    another: encoded rows ``X`` (R * n, dim), labels ``y`` (R * n,) and K
+    sample weights per row, ``sample_w`` (R * n, K). Each dataset's K sets
+    start from its seed's ``init_mlp_params``, follow its seed's batch order
+    and differ only in their sample weights. Each set's arithmetic is that of
+    a separate fit, so its parameters are bit-identical to one. A step calls
+    ``mlp_grad`` on batches ``X`` (R, 1, rows, dim), ``y`` (R, 1, rows, 1) and
+    weight shares (R, K, rows, 1) (see ``_batch_shares``), or (rows, dim),
+    (1, rows, 1) and (K, rows, 1) for one dataset. Each epoch gathers
+    every dataset's rows, and their shares, in a fresh random order once and
+    steps over contiguous slices of ``batch_size`` rows; a full batch
+    (``batch_size`` None or at least n) draws no order. Returns the weight
+    matrices (R, K, fan_in, fan_out) and biases (R, K, 1, fan_out) per layer.
+    """
+    reps, k = len(seeds), sample_w.shape[1]
+    n = len(y) // reps
+    # the leading axes of the parameters and shares, and those of the rows,
+    # which broadcast over K; one dataset drops its R axis, as every numpy call
+    # costs more per axis
+    lead, x_lead = ((k,), ()) if reps == 1 else ((reps, k), (reps, 1))
+    inits = [init_mlp_params(X.shape[1], hidden_layers, seed) for seed in seeds]
+    # each parameter with the leading axes, updated in place
+    layer_w = [np.repeat(np.stack(ws)[:, None], k, axis=1).reshape(*lead, *ws[0].shape)
+               for ws in zip(*(w for w, _ in inits))]
+    layer_b = [np.repeat(np.stack(bs)[:, None, None], k, axis=1).reshape(*lead, 1, -1)
+               for bs in zip(*(b for _, b in inits))]
     params = layer_w + layer_b  # the same arrays, in the order of mlp_grad's gradients
     full_batch = config.batch_size is None or config.batch_size >= n
     step = n if full_batch else config.batch_size
     lr, l2 = config.learning_rate, config.l2_penalty
-    rng = np.random.default_rng(config.seed)
+
+    def gather(rows):
+        """The epoch's rows, labels and weight shares, in the order ``rows``."""
+        weights = sample_w[rows].reshape(reps, n, k).transpose(0, 2, 1).reshape(*lead, n, 1)
+        return (X[rows].reshape(*x_lead, n, -1), y[rows].reshape(*lead[:-1], 1, n, 1),
+                _batch_shares(weights, step))
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # a full batch keeps the rows in order; each mini-batch epoch gathers its own
-    X_e, y_e, share_e = X, y, _batch_shares(sample_w, n)
+    X_e, y_e, share_e = gather(np.arange(reps * n))
     for _ in range(config.epochs):
         if not full_batch:
-            order = rng.permutation(n)
-            X_e, y_e, share_e = X[order], y[:, order], _batch_shares(sample_w[:, order], step)
+            X_e, y_e, share_e = gather(np.concatenate(
+                [rng.permutation(n) + r * n for r, rng in enumerate(rngs)]))
         for s in range(0, n, step):
-            grads_w, grads_b = mlp_grad(layer_w, layer_b, X_e[s:s + step], y_e[:, s:s + step],
-                                        share_e[:, s:s + step], l2)
+            grads_w, grads_b = mlp_grad(layer_w, layer_b, X_e[..., s:s + step, :],
+                                        y_e[..., s:s + step, :], share_e[..., s:s + step, :], l2)
             for param, g in zip(params, grads_w + grads_b):
                 param -= lr * g
-    return encoding, layer_w, layer_b
+    return ([W.reshape(reps, k, *W.shape[-2:]) for W in layer_w],
+            [b.reshape(reps, k, *b.shape[-2:]) for b in layer_b])
 
 
-def fit_logistic(train: Dataset, config: TrainConfig, *, weights=None):
+def _fit(trains, configs, hidden_layers, weights, build):
+    """One Dataset's result, or a sequence of datasets' results, in order.
+
+    A sequence brings one config and one ``weights`` entry per dataset
+    (``weights`` None for all None); an entry holds per-row weight vectors
+    (None for all ones) or is None for one unweighted model. Every dataset is
+    checked before any training. Datasets with equal training size, encoding
+    width, number of weight vectors and config apart from the seed train in
+    one ``_descend``. A result is the list of models ``build(train, config,
+    encoding, layer_w, layer_b)`` makes from parameters (K, fan_in, fan_out)
+    and (K, 1, fan_out) per layer, or its one model for a None entry.
+    """
+    single = isinstance(trains, Dataset)
+    if single:
+        trains, configs, weights = [trains], [configs], [weights]
+    trains, configs = list(trains), list(configs)
+    weights = [None] * len(trains) if weights is None else list(weights)
+    if not len(trains) == len(configs) == len(weights):
+        raise UsageError("give one train config and one weights entry per training set")
+    for train in trains:
+        check_trainable(train)
+    sample_ws = [_sample_weights(entry, len(train)) for train, entry in zip(trains, weights)]
+    encodings = [build_encoding(train) for train in trains]
+    groups: dict = {}
+    for i, (config, encoding, sample_w) in enumerate(zip(configs, encodings, sample_ws)):
+        key = (encoding.dim, sample_w.shape, astuple(replace(config, seed=0)))
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(trains)
+    for members in groups.values():
+        X = np.concatenate([encode_matrix(trains[i].instances(), trains[i].schema, encodings[i])
+                            for i in members])
+        y = np.array([label for i in members for label in trains[i].labels], dtype=float)
+        layer_w, layer_b = _descend(X, y, np.concatenate([sample_ws[i] for i in members]),
+                                    [configs[i].seed for i in members], configs[members[0]],
+                                    hidden_layers)
+        for j, i in enumerate(members):
+            models = build(trains[i], configs[i], encodings[i], [W[j] for W in layer_w],
+                           [b[j] for b in layer_b])
+            results[i] = models[0] if weights[i] is None else models
+    return results[0] if single else results
+
+
+def fit_logistic(train, config, *, weights=None):
     """Weighted logistic regression: the net with no hidden layer, trained from zero.
 
     Returns the model. Given ``weights``, a sequence of per-row weight vectors
-    (None for all ones), it trains one model per entry in one descent (see
-    ``_descend``) and returns them as a list, in order.
+    (None for all ones), it trains one model per entry in one descent and
+    returns them as a list, in order. Given a sequence of datasets, with one
+    config and one ``weights`` entry each, it returns one such result per
+    dataset, trained in lockstep where their shapes allow (see ``_fit``).
     """
-    encoding, (w,), (b,) = _descend(train, config, (), weights)
-    models = [
-        LogisticModel(weights=w_k, bias=float(b_k), encoding=encoding, schema=train.schema,
-                      meta={"kind": "logistic", "seed": config.seed, "n_train": len(train)})
-        for w_k, b_k in zip(w[:, :, 0], b[:, 0, 0])
-    ]
-    return models[0] if weights is None else models
+    def build(train, config, encoding, layer_w, layer_b):
+        (w,), (b,) = layer_w, layer_b
+        meta = {"kind": "logistic", "seed": config.seed, "n_train": len(train)}
+        return [LogisticModel(weights=w_k, bias=float(b_k), encoding=encoding,
+                              schema=train.schema, meta=dict(meta))
+                for w_k, b_k in zip(w[:, :, 0], b[:, 0, 0])]
+
+    return _fit(train, config, (), weights, build)
 
 
 def init_mlp_params(dim_in: int, hidden_layers, seed: int):
@@ -302,22 +374,20 @@ def init_mlp_params(dim_in: int, hidden_layers, seed: int):
     return weights, biases
 
 
-def fit_mlp(train: Dataset, config: TrainConfig, hidden_layers=DEFAULT_HIDDEN_LAYERS, *,
-            weights=None):
+def fit_mlp(train, config, hidden_layers=DEFAULT_HIDDEN_LAYERS, *, weights=None):
     """Fully-connected net with ReLU hidden layers and a sigmoid output unit.
 
-    Returns the model, or one model per entry of ``weights`` as a list, as
-    ``fit_logistic`` does.
+    Returns the model, one model per entry of ``weights`` as a list, or one
+    such result per dataset of a sequence, as ``fit_logistic`` does.
     """
-    encoding, layer_w, layer_b = _descend(train, config, hidden_layers, weights)
-    models = [
-        MlpModel(layer_weights=list(ws), layer_biases=[b[0] for b in bs],
-                 encoding=encoding, schema=train.schema,
-                 meta={"kind": "mlp", "seed": config.seed, "n_train": len(train),
-                       "hidden_layers": tuple(hidden_layers)})
-        for ws, bs in zip(zip(*layer_w), zip(*layer_b))
-    ]
-    return models[0] if weights is None else models
+    def build(train, config, encoding, layer_w, layer_b):
+        meta = {"kind": "mlp", "seed": config.seed, "n_train": len(train),
+                "hidden_layers": tuple(hidden_layers)}
+        return [MlpModel(layer_weights=list(ws), layer_biases=[b[0] for b in bs],
+                         encoding=encoding, schema=train.schema, meta=dict(meta))
+                for ws, bs in zip(zip(*layer_w), zip(*layer_b))]
+
+    return _fit(train, config, hidden_layers, weights, build)
 
 
 def favorable(p):

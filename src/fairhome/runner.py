@@ -1,10 +1,11 @@
 """Experiment orchestration: (dataset x model x method x repetition) matrices.
 
 Each repetition re-splits with its own seed and trains one model that every
-method but REW shares. REW's reweighted model is trained in the same descent,
-in lockstep, with parameters identical to those of a separate fit. Failures
-are isolated per cell: a failed fit or method is recorded in its own cells and
-the matrix goes on. All randomness flows from the base seed, making report CSVs
+method but REW shares. All repetitions' models, and their REW models, are
+trained in one fit call, in lockstep, with parameters identical to those of
+separate fits. Failures are isolated per cell: a repetition whose split cannot
+train, a failed fit or a failed method is recorded in its own cells and the
+matrix goes on. All randomness flows from the base seed, making report CSVs
 byte-identical across runs.
 """
 
@@ -20,10 +21,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import (Dataset, Schema, check_test_fraction, load_dataset, protected_domains,
-                   split)
+from .data import (Dataset, ProtectedDomains, Schema, check_test_fraction, load_dataset,
+                   protected_domains, split)
 from .ensemble import EnsembleStrategy, fairhome_predict
-from .errors import UsageError
+from .errors import TrainingError, UsageError
 from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, TradeoffPoint, TradeoffRegion,
                      build_baseline, check_curve_settings, classify_case, mutation_curve)
 from .metrics import (
@@ -36,6 +37,7 @@ from .model import (
     DEFAULT_HIDDEN_LAYERS,
     TrainConfig,
     check_field_types,
+    check_trainable,
     check_weights,
     favorable,
     fit_logistic,
@@ -85,6 +87,11 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise UsageError(f"unknown method {m!r}; valid: {VALID_METHODS}")
+        if not self.methods:
+            raise UsageError("methods must name at least one method")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise UsageError(f"methods must not repeat, got {repeated} more than once")
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
         if self.base_seed < 0:
@@ -211,83 +218,123 @@ def require_files(*paths) -> None:
             raise UsageError(f"no such file: {path}")
 
 
+@dataclass
+class _Repetition:
+    """One repetition's split and what is trained on it."""
+
+    index: int
+    seed: int
+    train: Dataset
+    test: Dataset
+    domains: ProtectedDomains
+    # the fit's weights entry: None for the main model, then REW's weights
+    weights: list = field(default_factory=lambda: [None])
+    # the main model, or the exception that fails every cell of the repetition
+    model: object = None
+    # method -> the extra model it needs, or the exception that fails its cells
+    fitted: dict = field(default_factory=dict)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full matrix and classify every mitigation case against Fairea."""
+    """Run the full matrix and classify every mitigation case against Fairea.
+
+    Three passes: split every repetition and check what its training needs;
+    train the models of every repetition that passed in one fit call; then run
+    the methods and the Fairea classification repetition by repetition.
+    """
     require_files(config.schema_path, config.dataset_path)
     schema = Schema.from_json(config.schema_path)
     dataset = load_dataset(config.dataset_path, schema)
-    hidden = DEFAULT_HIDDEN_LAYERS if config.paper_arch else DESK_HIDDEN_LAYERS
+
+    reps = []
+    for index in range(config.repetitions):
+        seed = config.base_seed + index
+        train, test = split(dataset, config.test_fraction, seed)
+        rep = _Repetition(index, seed, train, test, protected_domains(train))
+        reps.append(rep)
+        try:
+            check_trainable(train)
+        except TrainingError as e:  # every cell of this repetition fails
+            rep.model = e
+            continue
+        # REW's model is trained in the same descent as the main one; its
+        # weights are checked first, so that bad weights fail its cells alone
+        if "rew" in config.methods:
+            try:
+                rep.weights.append(check_weights(reweighting_weights(train, rep.domains)))
+            except Exception as e:
+                rep.fitted["rew"] = e
+
+    ready = [rep for rep in reps if rep.model is None]
+    trains = [rep.train for rep in ready]
+    configs = [replace(config.train, seed=rep.seed) for rep in ready]
+    weights = [rep.weights for rep in ready]
+    try:
+        if config.model_kind == "logistic":
+            results = fit_logistic(trains, configs, weights=weights)
+        else:
+            hidden = DEFAULT_HIDDEN_LAYERS if config.paper_arch else DESK_HIDDEN_LAYERS
+            results = fit_mlp(trains, configs, hidden_layers=hidden, weights=weights)
+    except Exception as e:  # every cell of these repetitions fails
+        results = [[e]] * len(ready)
+    for rep, (model, *companion_models) in zip(ready, results):
+        rep.model = model
+        rep.fitted.update(zip(("rew",), companion_models))
 
     records: list = []
     cases: list = []
-    for rep in range(config.repetitions):
-        seed = config.base_seed + rep
-        train, test = split(dataset, config.test_fraction, seed)
-        domains = protected_domains(train)
-        cfg = replace(config.train, seed=seed)
-
-        # REW's model is trained in the same descent as the main one; its
-        # weights are checked first, so that bad weights fail its cells alone
-        fitted = {}
-        companions = {}
-        if "rew" in config.methods:
-            try:
-                companions["rew"] = check_weights(reweighting_weights(train, domains))
-            except Exception as e:
-                fitted["rew"] = e
-        weights = [None, *companions.values()]
-        try:
-            if config.model_kind == "logistic":
-                model, *companion_models = fit_logistic(train, cfg, weights=weights)
-            else:
-                model, *companion_models = fit_mlp(train, cfg, hidden_layers=hidden,
-                                                   weights=weights)
-        except Exception as e:  # every cell of this repetition fails
-            for method in config.methods:
-                records.append(RunRecord(
-                    task=config.task_id, method=method, repetition=rep, seed=seed,
-                    error=f"{type(e).__name__}: {e}",
-                ))
-            continue
-        fitted.update(zip(companions, companion_models))
-        # a failed extrapolation fit is raised in the fairhome1 cells alone
-        if "fairhome1" in config.methods:
-            try:
-                fitted["fairhome1"] = fit_extrapolation_models(train)
-            except Exception as e:
-                fitted["fairhome1"] = e
-
-        # the test split's group keys are factored once; each method scores a copy
-        labeled = LabeledPredictions.from_dataset(test, test.labels)
-        rep_reports: dict = {}
-        rep_preds: dict = {}
-        for method in config.methods:
-            start = time.perf_counter()
-            prerequisite = fitted.get(method)
-            active = prerequisite if method == "rew" else model
-            record = RunRecord(
-                task=config.task_id, method=method, repetition=rep, seed=seed,
-                model_fingerprint="" if isinstance(active, Exception) else active.fingerprint(),
-            )
-            try:
-                if isinstance(prerequisite, Exception):
-                    raise prerequisite
-                corr = prerequisite if method == "fairhome1" else None
-                y_pred = _method_predictions(method, active, test, domains, corr)
-                preds = labeled.with_predictions(y_pred)
-                record.report = compute_report(preds)
-                rep_reports[method] = record.report
-                rep_preds[method] = preds
-            except Exception as e:  # isolate the cell, keep the matrix going
-                record.error = f"{type(e).__name__}: {e}"
-            record.duration_s = time.perf_counter() - start
-            records.append(record)
-
-        if "original" in rep_reports:
-            cases.extend(
-                _classify_rep(config, rep, rep_reports, rep_preds["original"], seed)
-            )
+    for rep in reps:
+        _run_repetition(config, rep, records, cases)
     return ExperimentResult(records=records, fairea_cases=cases)
+
+
+def _run_repetition(config, rep, records, cases) -> None:
+    """Append one repetition's records, and its Fairea cases, to ``records``
+    and ``cases``."""
+    if isinstance(rep.model, Exception):
+        for method in config.methods:
+            records.append(RunRecord(
+                task=config.task_id, method=method, repetition=rep.index, seed=rep.seed,
+                error=f"{type(rep.model).__name__}: {rep.model}",
+            ))
+        return
+    # a failed extrapolation fit is raised in the fairhome1 cells alone
+    if "fairhome1" in config.methods:
+        try:
+            rep.fitted["fairhome1"] = fit_extrapolation_models(rep.train)
+        except Exception as e:
+            rep.fitted["fairhome1"] = e
+
+    # the test split's group keys are factored once; each method scores a copy
+    labeled = LabeledPredictions.from_dataset(rep.test, rep.test.labels)
+    rep_reports: dict = {}
+    rep_preds: dict = {}
+    for method in config.methods:
+        start = time.perf_counter()
+        prerequisite = rep.fitted.get(method)
+        active = prerequisite if method == "rew" else rep.model
+        record = RunRecord(
+            task=config.task_id, method=method, repetition=rep.index, seed=rep.seed,
+            model_fingerprint="" if isinstance(active, Exception) else active.fingerprint(),
+        )
+        try:
+            if isinstance(prerequisite, Exception):
+                raise prerequisite
+            corr = prerequisite if method == "fairhome1" else None
+            y_pred = _method_predictions(method, active, rep.test, rep.domains, corr)
+            preds = labeled.with_predictions(y_pred)
+            record.report = compute_report(preds)
+            rep_reports[method] = record.report
+            rep_preds[method] = preds
+        except Exception as e:  # isolate the cell, keep the matrix going
+            record.error = f"{type(e).__name__}: {e}"
+        record.duration_s = time.perf_counter() - start
+        records.append(record)
+
+    if "original" in rep_reports:
+        cases.extend(
+            _classify_rep(config, rep.index, rep_reports, rep_preds["original"], rep.seed)
+        )
 
 
 def _classify_rep(config, rep, rep_reports, original_preds, seed):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,6 +366,77 @@ def test_lockstep_fit_equals_separate_fits_bit_for_bit(case):
     for got, want in zip(models, separate):
         assert got.fingerprint() == want.fingerprint()
         assert all(np.array_equal(a, b) for a, b in zip(model_params(got), model_params(want)))
+
+
+@st.composite
+def multi_fit_cases(draw):
+    """1-3 splits of one pool, each with its own seed and a weights entry of K
+    vectors (None among them) or None. Some land in a descent of their own: a
+    split with a protected level missing (a narrower encoding), a larger
+    split, or a lower learning rate."""
+    _, config, _, hidden = draw(descent_cases())
+    n = draw(st.integers(2, 60))
+    ragged = st.integers(2, max(2, n - 1)).filter(lambda bs: n % bs or bs >= n)
+    config = replace(config, batch_size=draw(st.one_of(st.sampled_from([1, n, n + 5, None]),
+                                                        ragged)))
+    rng = np.random.default_rng(config.seed)
+    pool = random_dataset(rng, SCHEMA_1P, n + 3)
+    k = draw(st.integers(1, 3))
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        variant = draw(st.sampled_from(["same", "same", "narrow", "larger", "slower"]))
+        idx = rng.permutation(n + 3)[:n + 3 if variant == "larger" else n]
+        rows = [pool.rows[i] for i in idx]
+        if variant == "narrow":
+            rows = [(rows[0][0], *row[1:]) for row in rows]
+        train = make_dataset(SCHEMA_1P, rows, [0, 1, *(pool.labels[i] for i in idx[2:])])
+        cfg = replace(config, seed=int(rng.integers(2**32)),
+                      learning_rate=0.05 if variant == "slower" else config.learning_rate)
+        weights = None if draw(st.booleans()) else [
+            rng.uniform(0.2, 3.0, len(train)) if draw(st.booleans()) else None for _ in range(k)]
+        entries.append((train, cfg, weights))
+    return entries, hidden
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_fit_cases())
+def test_fit_over_datasets_equals_separate_fits_bit_for_bit(case):
+    """A fit given R datasets, with one config and one weights entry each,
+    returns one result per dataset, each model equal bit for bit to a separate
+    fit of its dataset with its weight vector alone; datasets with equal size,
+    encoding width, number of weight vectors and config apart from the seed
+    share one descent."""
+    import fairhome.model
+
+    entries, hidden = case
+
+    def fit(*args, **kwargs):
+        if not hidden:
+            return fit_logistic(*args, **kwargs)
+        return fit_mlp(*args, hidden_layers=hidden, **kwargs)
+
+    descend, descents = fairhome.model._descend, []
+    fairhome.model._descend = lambda *args: descents.append(len(args[3])) or descend(*args)
+    try:
+        trains, configs, weights = map(list, zip(*entries))
+        results = fit(trains, configs, weights=weights)
+    finally:
+        fairhome.model._descend = descend
+    groups = {(build_encoding(train).dim, len(train), 1 if w is None else len(w),
+               config.learning_rate) for train, config, w in entries}
+    assert len(descents) == len(groups) and sum(descents) == len(entries)
+    assert len(results) == len(entries)
+    for result, (train, config, weights) in zip(results, entries):
+        if weights is None:
+            got, want = [result], [fit(train, config)]
+        else:
+            got = result
+            want = [fit(train, config) if w is None else fit(train, config, weights=[w])[0]
+                    for w in weights]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.meta == b.meta and a.fingerprint() == b.fingerprint()
+            assert all(np.array_equal(x, y) for x, y in zip(model_params(a), model_params(b)))
 
 
 def test_weights_are_checked_before_training():

@@ -77,6 +77,41 @@ def test_bad_rew_weights_fail_the_rew_cells_alone(tmp_path, monkeypatch):
             assert after.model_fingerprint == before.model_fingerprint
 
 
+def test_an_untrainable_split_fails_its_own_repetition_alone(tmp_path, monkeypatch):
+    """Every repetition trains in one fit call, after a trainability check: a
+    repetition whose training split holds a single label class fails every cell
+    of its own with the training error, and the others equal runs of each
+    repetition alone (``repetitions`` 1 at ``base_seed + r``)."""
+    import fairhome.runner
+    from fairhome.data import split
+
+    methods = ("original", "fairhome", "rew")
+    alone = {rep: run_experiment(small_config(tmp_path, methods=methods, repetitions=1,
+                                              base_seed=42 + rep)).records
+             for rep in (0, 2)}
+
+    def split_one_single_label(dataset, test_fraction, seed):
+        train, test = split(dataset, test_fraction, seed)
+        if seed == 43:
+            train.labels = [1] * len(train)
+        return train, test
+
+    monkeypatch.setattr(fairhome.runner, "split", split_one_single_label)
+    result = run_experiment(small_config(tmp_path, methods=methods, repetitions=3))
+    assert [(r.repetition, r.method) for r in result.records] == [
+        (rep, method) for rep in range(3) for method in methods]
+    assert {c.repetition for c in result.fairea_cases} == {0, 2}
+    for record in result.records:
+        if record.repetition == 1:
+            assert record.error == "TrainingError: training data contains a single label class"
+            assert record.model_fingerprint == "" and record.report is None
+            continue
+        single = alone[record.repetition][methods.index(record.method)]
+        assert record.error is None and single.error is None
+        assert record.model_fingerprint == single.model_fingerprint
+        assert record.report.to_flat_dict() == single.report.to_flat_dict()
+
+
 def test_original_record_matches_direct_evaluation(tmp_path):
     from fairhome.data import Schema, load_dataset, split, encode_matrix
     from fairhome.metrics import LabeledPredictions, compute_report
@@ -337,8 +372,8 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
     """Bad Fairea settings, unknown or missing config keys, config values of
-    the wrong type or not finite, missing data files and config files that are
-    not a JSON object: exit 2 before loading any data. A schema file that is
+    the wrong type or not finite, an empty or repeating method list, missing
+    data files and config files that are not a JSON object: exit 2 before loading any data. A schema file that is
     not JSON, declares an unknown attribute kind, holds an attribute entry that
     is not an object or a ``protected`` that is not a list of strings, and a
     data file with an empty cell: exit 2 before training. ``fairhome report`` on a missing file
@@ -384,6 +419,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"repetitions": True}, "repetitions must be int, got True"),
         ({"paper_arch": 1}, "paper_arch must be bool, got 1"),
         ({"methods": "fairhome"}, "methods must be tuple, got 'fairhome'"),
+        ({"methods": []}, "methods must name at least one method"),
+        ({"methods": ["original", "original", "fairhome"]},
+         "methods must not repeat, got ['original'] more than once"),
         ({"fairea_degrees": [0.0, "0.5", 1.0]}, "degrees must be ascending numbers"),
         ({"train": {"epochs": "3"}}, "epochs must be int, got '3'"),
         ({"train": {"learning_rate": "0.1"}}, "learning_rate must be float, got '0.1'"),
