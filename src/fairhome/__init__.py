@@ -10,7 +10,6 @@ from .data import (
     SubgroupKey,
     build_encoding,
     encode,
-    enumerate_subgroups,
     load_dataset,
     protected_domains,
     split,
@@ -34,14 +33,7 @@ from .metrics import (
     performance_metrics,
     worst_case_metrics,
 )
-from .model import (
-    TrainConfig,
-    fit_logistic,
-    fit_mlp,
-    load_model,
-    reweighting_weights,
-    save_model,
-)
+from .model import TrainConfig, fit_logistic, fit_mlp, reweighting_weights
 from .mutate import (
     CorrelationModel,
     MutantSet,

@@ -61,9 +61,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    require_files(args.predictions)
     with open(args.predictions, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         if "y_true" not in header or "y_pred" not in header:
             print("predictions CSV needs y_true and y_pred columns", file=sys.stderr)
             return 2
@@ -73,10 +74,14 @@ def cmd_metrics(args) -> int:
                   file=sys.stderr)
             return 2
         y_true, y_pred, groups = [], [], {a: [] for a in protected}
-        for row in reader:
-            if row["y_true"] not in ("0", "1") or row["y_pred"] not in ("0", "1"):
+        for cells in filter(None, reader):  # blank lines are skipped
+            row = dict(zip(header, cells))
+            if row.get("y_true") not in ("0", "1") or row.get("y_pred") not in ("0", "1"):
                 raise UsageError(f"line {reader.line_num}: y_true and y_pred must be "
-                                 f"0 or 1, got {row['y_true']!r}, {row['y_pred']!r}")
+                                 f"0 or 1, got {row.get('y_true')!r}, {row.get('y_pred')!r}")
+            if len(cells) != len(header):
+                raise UsageError(f"line {reader.line_num}: expected {len(header)} cells, "
+                                 f"got {len(cells)}")
             y_true.append(int(row["y_true"]))
             y_pred.append(int(row["y_pred"]))
             for a in protected:

@@ -1,4 +1,4 @@
-"""Dataset ingestion, attribute schema, encoding, splitting, and subgroup enumeration."""
+"""Dataset ingestion, attribute schema, protected domains, encoding, and splitting."""
 
 from __future__ import annotations
 
@@ -71,14 +71,6 @@ class Schema:
     @cached_property  # the schema is frozen; computed once, on first use
     def protected_indices(self) -> tuple[int, ...]:
         return tuple(self.index_of(p) for p in self.protected)
-
-    def to_dict(self) -> dict:
-        return {
-            "attributes": [{"name": a.name, "kind": a.kind} for a in self.attributes],
-            "protected": list(self.protected),
-            "label_column": self.label_column,
-            "favorable_value": self.favorable_value,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
@@ -268,16 +260,6 @@ class SubgroupKey:
 
     def label(self) -> str:
         return ",".join(f"{a}={v}" for a, v in self.assignment)
-
-
-def enumerate_subgroups(domains: ProtectedDomains) -> list[SubgroupKey]:
-    """One SubgroupKey per observed joint combination, in lexicographic order."""
-    if not domains.joint_combos:
-        raise UsageError("no joint combinations observed")
-    return [
-        SubgroupKey.from_combo(domains.schema.protected, combo)
-        for combo in domains.joint_combos
-    ]
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,8 @@ finite-difference checking.
 from __future__ import annotations
 
 import hashlib
-import json
 import typing
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -150,7 +149,6 @@ class LogisticModel:
     bias: float
     encoding: EncodingMap
     schema: Schema
-    meta: dict = field(default_factory=dict)
 
     def proba_matrix(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(X @ self.weights + self.bias)
@@ -163,9 +161,6 @@ class LogisticModel:
         h.update(np.float64(self.bias).tobytes())
         return h.hexdigest()[:16]
 
-    def params_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias}
-
 
 @dataclass
 class MlpModel:
@@ -173,7 +168,6 @@ class MlpModel:
     layer_biases: list
     encoding: EncodingMap
     schema: Schema
-    meta: dict = field(default_factory=dict)
 
     def proba_matrix(self, X: np.ndarray) -> np.ndarray:
         return mlp_forward(self.layer_weights, self.layer_biases, np.atleast_2d(X))[0][:, 0]
@@ -187,12 +181,6 @@ class MlpModel:
             h.update(W.tobytes())
             h.update(b.tobytes())
         return h.hexdigest()[:16]
-
-    def params_dict(self) -> dict:
-        return {
-            "layer_weights": [W.tolist() for W in self.layer_weights],
-            "layer_biases": [b.tolist() for b in self.layer_biases],
-        }
 
 
 def check_trainable(train: Dataset) -> None:
@@ -303,8 +291,8 @@ def _fit(trains, configs, hidden_layers, weights, build):
     (None for all ones) or is None for one unweighted model. Every dataset is
     checked before any training. Datasets with equal training size, encoding
     width, number of weight vectors and config apart from the seed train in
-    one ``_descend``. A result is the list of models ``build(train, config,
-    encoding, layer_w, layer_b)`` makes from parameters (K, fan_in, fan_out)
+    one ``_descend``. A result is the list of models ``build(schema, encoding,
+    layer_w, layer_b)`` makes from parameters (K, fan_in, fan_out)
     and (K, 1, fan_out) per layer, or its one model for a None entry.
     """
     single = isinstance(trains, Dataset)
@@ -331,7 +319,7 @@ def _fit(trains, configs, hidden_layers, weights, build):
                                     [configs[i].seed for i in members], configs[members[0]],
                                     hidden_layers)
         for j, i in enumerate(members):
-            models = build(trains[i], configs[i], encodings[i], [W[j] for W in layer_w],
+            models = build(trains[i].schema, encodings[i], [W[j] for W in layer_w],
                            [b[j] for b in layer_b])
             results[i] = models[0] if weights[i] is None else models
     return results[0] if single else results
@@ -346,11 +334,9 @@ def fit_logistic(train, config, *, weights=None):
     config and one ``weights`` entry each, it returns one such result per
     dataset, trained in lockstep where their shapes allow (see ``_fit``).
     """
-    def build(train, config, encoding, layer_w, layer_b):
+    def build(schema, encoding, layer_w, layer_b):
         (w,), (b,) = layer_w, layer_b
-        meta = {"kind": "logistic", "seed": config.seed, "n_train": len(train)}
-        return [LogisticModel(weights=w_k, bias=float(b_k), encoding=encoding,
-                              schema=train.schema, meta=dict(meta))
+        return [LogisticModel(weights=w_k, bias=float(b_k), encoding=encoding, schema=schema)
                 for w_k, b_k in zip(w[:, :, 0], b[:, 0, 0])]
 
     return _fit(train, config, (), weights, build)
@@ -380,11 +366,9 @@ def fit_mlp(train, config, hidden_layers=DEFAULT_HIDDEN_LAYERS, *, weights=None)
     Returns the model, one model per entry of ``weights`` as a list, or one
     such result per dataset of a sequence, as ``fit_logistic`` does.
     """
-    def build(train, config, encoding, layer_w, layer_b):
-        meta = {"kind": "mlp", "seed": config.seed, "n_train": len(train),
-                "hidden_layers": tuple(hidden_layers)}
+    def build(schema, encoding, layer_w, layer_b):
         return [MlpModel(layer_weights=list(ws), layer_biases=[b[0] for b in bs],
-                         encoding=encoding, schema=train.schema, meta=dict(meta))
+                         encoding=encoding, schema=schema)
                 for ws, bs in zip(zip(*layer_w), zip(*layer_b))]
 
     return _fit(train, config, hidden_layers, weights, build)
@@ -414,61 +398,3 @@ def reweighting_weights(train: Dataset, domains: ProtectedDomains) -> np.ndarray
         [n_s[c] * n_y[y] / (n * n_sy[(c, y)]) for c, y in zip(combos, train.labels)]
     )
 
-
-_FORMAT = "fairhome-model/1"
-
-
-def save_model(model, path) -> None:
-    """JSON dump of parameters, encoding, and schema; predictions round-trip exactly."""
-    from .data import CategoricalBlock
-
-    blocks = []
-    for blk in model.encoding.blocks:
-        if isinstance(blk, CategoricalBlock):
-            blocks.append({"name": blk.name, "kind": "categorical", "levels": list(blk.levels)})
-        else:
-            blocks.append({"name": blk.name, "kind": "numeric", "lo": blk.lo, "hi": blk.hi})
-    doc = {
-        "format": _FORMAT,
-        "kind": model.meta.get("kind"),
-        "schema": model.schema.to_dict(),
-        "encoding": blocks,
-        "params": model.params_dict(),
-        "meta": model.meta,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_model(path):
-    from .data import CategoricalBlock, NumericBlock
-
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
-        raise UsageError(f"unsupported model file format {doc.get('format')!r}")
-    schema = Schema.from_dict(doc["schema"])
-    blocks = []
-    dim = 0
-    for blk in doc["encoding"]:
-        if blk["kind"] == "categorical":
-            levels = tuple(blk["levels"])
-            blocks.append(CategoricalBlock(blk["name"], levels,
-                                           {v: j for j, v in enumerate(levels)}))
-            dim += len(levels)
-        else:
-            blocks.append(NumericBlock(blk["name"], blk["lo"], blk["hi"]))
-            dim += 1
-    encoding = EncodingMap(blocks=tuple(blocks), dim=dim)
-    params = doc["params"]
-    meta = dict(doc.get("meta", {}))
-    if doc["kind"] == "logistic":
-        return LogisticModel(weights=np.asarray(params["weights"]), bias=params["bias"],
-                             encoding=encoding, schema=schema, meta=meta)
-    if doc["kind"] == "mlp":
-        return MlpModel(
-            layer_weights=[np.asarray(W) for W in params["layer_weights"]],
-            layer_biases=[np.asarray(b) for b in params["layer_biases"]],
-            encoding=encoding, schema=schema, meta=meta,
-        )
-    raise UsageError(f"unknown model kind {doc['kind']!r}")

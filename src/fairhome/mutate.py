@@ -26,9 +26,7 @@ class MutationStrategy(Enum):
 
 @dataclass(frozen=True)
 class MutantSet:
-    original: Instance
     mutants: tuple
-    strategy: MutationStrategy
 
 
 def _indicators(protected: tuple, columns: tuple, combos) -> np.ndarray:
@@ -152,4 +150,4 @@ def generate_mutants(
         for i, v in zip(indices, row):
             values[i] = v
         mutants.append(Instance(tuple(values)))
-    return MutantSet(original=instance, mutants=tuple(mutants), strategy=strategy)
+    return MutantSet(mutants=tuple(mutants))

@@ -13,8 +13,6 @@ import json
 
 import numpy as np
 
-from .data import Schema
-
 GERMAN_SEED = 20240601
 COMPAS_SEED = 20240602
 
@@ -127,14 +125,6 @@ def write_fixture(kind: str, csv_path, schema_path, n: int | None = None,
     with open(schema_path, "w", encoding="utf-8") as fh:
         json.dump(schema_dict, fh, indent=2)
         fh.write("\n")
-
-
-def german_schema() -> Schema:
-    return Schema.from_dict(GERMAN_SCHEMA)
-
-
-def compas_schema() -> Schema:
-    return Schema.from_dict(COMPAS_SCHEMA)
 
 
 def main(argv=None) -> None:

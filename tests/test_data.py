@@ -6,7 +6,6 @@ from fairhome.data import (
     Schema,
     build_encoding,
     encode,
-    enumerate_subgroups,
     load_dataset,
     protected_domains,
     split,
@@ -129,20 +128,19 @@ def test_protected_domains_single_value_warns(two_protected_schema):
         protected_domains(ds)
 
 
-def test_enumerate_subgroups(two_protected_schema):
+def test_joint_combos_in_lexicographic_order(two_protected_schema):
     rows = [("M", "W", 1.0, "a"), ("F", "W", 1.0, "a"),
             ("M", "N", 1.0, "a"), ("F", "N", 1.0, "a")]
     ds = make_dataset(two_protected_schema, rows, [1, 0, 1, 0])
-    subgroups = enumerate_subgroups(protected_domains(ds))
-    assert len(subgroups) == 4
-    assert subgroups[0].assignment == (("sex", "F"), ("race", "N"))
+    combos = protected_domains(ds).joint_combos
+    assert combos == (("F", "N"), ("F", "W"), ("M", "N"), ("M", "W"))
 
     # three binary attributes, one combo unobserved
     schema3 = make_schema(protected=("a", "b", "c"), extra=(("x", "numeric"),))
-    combos = [(i, j, k) for i in "01" for j in "01" for k in "01"][:-1]
-    rows3 = [(i, j, k, 1.0) for i, j, k in combos]
-    ds3 = make_dataset(schema3, rows3, [1] * len(rows3))
-    assert len(enumerate_subgroups(protected_domains(ds3))) == 7
+    observed = [(i, j, k) for i in "01" for j in "01" for k in "01"][:-1]
+    ds3 = make_dataset(schema3, [(*combo, 1.0) for combo in reversed(observed)],
+                       [1] * len(observed))
+    assert protected_domains(ds3).joint_combos == tuple(observed)
 
 
 def test_domains_reconstruction_property(rng):

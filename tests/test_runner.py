@@ -378,7 +378,7 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     is not an object or a ``protected`` that is not a list of strings, and a
     data file with an empty cell: exit 2 before training. ``fairhome report`` on a missing file
     or a regions file without a region column: exit 2 before writing
-    anything."""
+    anything. ``fairhome metrics`` on a missing file: exit 2."""
     import fairhome.runner
     from fairhome.data import load_dataset
 
@@ -480,6 +480,8 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         assert cli_main(["report", *args, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"fairhome: error: no such file: {missing}\n")
         assert not (tmp_path / "out").exists()
+    assert cli_main(["metrics", "--predictions", missing]) == 2
+    assert capsys.readouterr() == ("", f"fairhome: error: no such file: {missing}\n")
     regions = tmp_path / "regions.csv"
     regions.write_text("task,method,fairness_metric\nt,fairhome,wc_spd\n")
     assert cli_main(["report", "--records", str(FIXTURES / "german_synth.csv"),
@@ -524,6 +526,12 @@ def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "line 3: " in captured.err
         assert repr(bad_line.split(",")[0]) in captured.err
+    # a row with too few or too many cells, even with good labels
+    for bad_line, got in (("1,1", 2), ("1,1,F,x", 4)):
+        preds_path.write_text("\n".join(["y_true,y_pred,g", "1,0,M", bad_line, "0,1,F"]) + "\n")
+        assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"fairhome: error: line 3: expected 3 cells, got {got}\n")
 
 
 def test_cli_metrics_undefined_metric_exits_2(tmp_path, capsys):

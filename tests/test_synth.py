@@ -2,14 +2,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fairhome.data import load_dataset, protected_domains
-from fairhome.synth import (
-    compas_like_rows,
-    compas_schema,
-    german_like_rows,
-    german_schema,
-    write_fixture,
-)
+from fairhome.data import Schema, load_dataset, protected_domains
+from fairhome.synth import compas_like_rows, german_like_rows, write_fixture
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,7 +22,8 @@ def test_bundled_fixtures_match_generator(tmp_path):
 
 
 def test_german_fixture_loads_with_planted_bias():
-    ds = load_dataset(FIXTURES / "german_synth.csv", german_schema())
+    ds = load_dataset(FIXTURES / "german_synth.csv",
+                      Schema.from_json(FIXTURES / "german_synth.schema.json"))
     assert len(ds) == 1000
     domains = protected_domains(ds)
     assert len(domains.joint_combos) == 4
@@ -42,7 +37,8 @@ def test_german_fixture_loads_with_planted_bias():
 
 
 def test_compas_fixture_loads():
-    ds = load_dataset(FIXTURES / "compas_synth.csv", compas_schema())
+    ds = load_dataset(FIXTURES / "compas_synth.csv",
+                      Schema.from_json(FIXTURES / "compas_synth.schema.json"))
     assert len(ds) == 1200
     assert len(protected_domains(ds).joint_combos) == 8
     assert 0.3 < np.mean(ds.labels) < 0.8
