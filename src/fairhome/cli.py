@@ -17,6 +17,7 @@ from .runner import (
     ExperimentConfig,
     emit_report,
     read_records_csv,
+    require_columns,
     require_files,
     run_experiment,
     write_manifest,
@@ -45,15 +46,13 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     require_files(args.records, *filter(None, [args.regions]))
-    rows = read_records_csv(args.records)
     case_rows = None
     if args.regions:
         with open(args.regions, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            lacking = [c for c in ("method", "region") if c not in (reader.fieldnames or [])]
-            if lacking:
-                raise UsageError(f"{args.regions}: header lacks column(s) {lacking}")
+            require_columns(args.regions, reader.fieldnames, ("method", "region"))
             case_rows = list(reader)
+    rows = read_records_csv(args.records)
     os.makedirs(args.out, exist_ok=True)
     for path in write_tables(args.out, rows, case_rows).values():
         print(f"wrote {path}")
@@ -65,14 +64,14 @@ def cmd_metrics(args) -> int:
     with open(args.predictions, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if "y_true" not in header or "y_pred" not in header:
-            print("predictions CSV needs y_true and y_pred columns", file=sys.stderr)
-            return 2
+        duplicates = sorted({name for name in header if header.count(name) > 1})
+        if duplicates:
+            raise UsageError(f"{args.predictions}: duplicate header columns {duplicates}")
+        require_columns(args.predictions, header, ("y_true", "y_pred"))
         protected = [c for c in header if c not in ("y_true", "y_pred")]
         if not protected:
-            print("predictions CSV needs at least one protected-attribute column",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"{args.predictions}: header needs at least one "
+                             "protected-attribute column")
         y_true, y_pred, groups = [], [], {a: [] for a in protected}
         for cells in filter(None, reader):  # blank lines are skipped
             row = dict(zip(header, cells))

@@ -383,18 +383,11 @@ def favorable(p):
 
 
 def reweighting_weights(train: Dataset, domains: ProtectedDomains) -> np.ndarray:
-    """Per-row weights (N_s * N_y) / (N * N_sy) equalizing (subgroup, label) mass."""
-    idx = train.schema.protected_indices
-    combos = [tuple(row[i] for i in idx) for row in train.rows]
-    n = len(train)
-    n_s: dict = {}
-    n_y = {0: 0, 1: 0}
-    n_sy: dict = {}
-    for combo, y in zip(combos, train.labels):
-        n_s[combo] = n_s.get(combo, 0) + 1
-        n_y[y] += 1
-        n_sy[(combo, y)] = n_sy.get((combo, y), 0) + 1
-    return np.array(
-        [n_s[c] * n_y[y] / (n * n_sy[(c, y)]) for c, y in zip(combos, train.labels)]
-    )
-
+    """Per-row weights (N_s * N_y) / (N * N_sy) equalizing (subgroup, label) mass.
+    The counts are exact, so int64 true division rounds as Python's ``int / int``."""
+    idx, codes = train.schema.protected_indices, {}
+    s = np.array([codes.setdefault(tuple(row[i] for i in idx), len(codes)) for row in train.rows],
+                 dtype=np.intp)
+    y = np.asarray(train.labels, dtype=np.intp)
+    sy = 2 * s + y
+    return np.bincount(s)[s] * np.bincount(y)[y] / (len(train) * np.bincount(sy)[sy])

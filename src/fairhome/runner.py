@@ -45,7 +45,7 @@ from .model import (
     reweighting_weights,
 )
 from .mutate import MutationStrategy, fit_extrapolation_models
-from .stats import win_tie_loss
+from .stats import LOSS, TIE, WIN, win_tie_loss
 
 DESK_HIDDEN_LAYERS = (16, 8)
 
@@ -218,6 +218,13 @@ def require_files(*paths) -> None:
             raise UsageError(f"no such file: {path}")
 
 
+def require_columns(path, header, columns) -> None:
+    """UsageError naming ``path`` when the CSV ``header`` lacks any of ``columns``."""
+    lacking = [c for c in columns if c not in (header or [])]
+    if lacking:
+        raise UsageError(f"{path}: header lacks column(s) {lacking}")
+
+
 @dataclass
 class _Repetition:
     """One repetition's split and what is trained on it."""
@@ -366,66 +373,52 @@ def _classify_rep(config, rep, rep_reports, original_preds, seed):
     return cases
 
 
-def _ok_rows_by_cell(rows) -> dict:
-    """The rows of cells that ran, grouped by (task, method) in row order."""
-    by_cell: dict = {}
+def _cell_values(rows) -> dict:
+    """(task, method) -> metric -> float values in row order, over rows that ran or
+    carry no status."""
+    cells: dict = {}
     for r in rows:
         if r.get("status", "ok") == "ok":
-            by_cell.setdefault((r["task"], r["method"]), []).append(r)
-    return by_cell
+            values = cells.setdefault((r["task"], r["method"]), {})
+            for metric in FAIRNESS_METRICS + PERFORMANCE_METRICS:
+                if metric in r:
+                    values.setdefault(metric, []).append(float(r[metric]))
+    return cells
 
 
 def improvement_table(rows) -> list:
     """Per (method, metric): mean values and absolute/relative change vs original."""
-    by_method = _ok_rows_by_cell(rows)
-    metric_names = [k for k in (FAIRNESS_METRICS + PERFORMANCE_METRICS)
-                    if any(k in r for cell in by_method.values() for r in cell)]
+    cells = _cell_values(rows)
     table = []
-    tasks = sorted({t for t, _ in by_method})
-    for task in tasks:
-        base = by_method.get((task, "original"))
-        methods = sorted({m for t, m in by_method if t == task and m != "original"})
-        for method in methods:
-            for metric in metric_names:
-                vals = [float(r[metric]) for r in by_method[(task, method)] if metric in r]
-                if not vals:
-                    continue
-                mean_m = float(np.mean(vals))
-                entry = dict.fromkeys(IMPROVEMENT_COLUMNS, "")
-                entry.update(task=task, method=method, metric=metric, method_mean=mean_m)
-                if base:
-                    base_vals = [float(r[metric]) for r in base if metric in r]
-                    if base_vals:
-                        mean_o = float(np.mean(base_vals))
-                        entry["original_mean"] = mean_o
-                        entry["absolute_change"] = mean_m - mean_o
-                        if mean_o != 0:
-                            entry["relative_change_pct"] = 100.0 * (mean_m - mean_o) / mean_o
-                table.append(entry)
+    for (task, method), values in sorted(cells.items()):
+        if method == "original":
+            continue
+        base = cells.get((task, "original"), {})
+        for metric, vals in values.items():
+            mean_m = float(np.mean(vals))
+            entry = dict.fromkeys(IMPROVEMENT_COLUMNS, "")
+            entry.update(task=task, method=method, metric=metric, method_mean=mean_m)
+            if metric in base:
+                mean_o = float(np.mean(base[metric]))
+                entry.update(original_mean=mean_o, absolute_change=mean_m - mean_o)
+                if mean_o != 0:
+                    entry["relative_change_pct"] = 100.0 * (mean_m - mean_o) / mean_o
+            table.append(entry)
     return table
 
 
-def wtl_matrix(rows, subject: str = "fairhome", alpha: float = 0.05) -> list:
-    """Win/tie/loss counts of ``subject`` vs every other method, per fairness metric."""
-    by_cell = _ok_rows_by_cell(rows)
-    opponents = sorted({m for _, m in by_cell if m != subject})
-    tasks = sorted({t for t, _ in by_cell})
-
+def wtl_matrix(rows) -> list:
+    """Win/tie/loss counts of fairhome vs every other method per fairness metric."""
+    cells = _cell_values(rows)
+    subject = {task: values for (task, method), values in cells.items() if method == "fairhome"}
     out = []
     for metric in FAIRNESS_METRICS:
         row = {"metric": metric}
-        for opp in opponents:
-            counts = {"win": 0, "tie": 0, "loss": 0}
-            for task in tasks:
-                subj_rows = by_cell.get((task, subject), [])
-                opp_rows = by_cell.get((task, opp), [])
-                subj_vals = [float(r[metric]) for r in subj_rows if metric in r]
-                opp_vals = [float(r[metric]) for r in opp_rows if metric in r]
-                if not subj_vals or not opp_vals:
-                    continue
-                outcome = win_tie_loss(subj_vals, opp_vals, alpha=alpha, lower_is_better=True)
-                counts[outcome.outcome] += 1
-            row[opp] = f"{counts['win']}/{counts['tie']}/{counts['loss']}"
+        for opp in sorted({m for _, m in cells if m != "fairhome"}):
+            outcomes = [win_tie_loss(subj[metric], cells[(task, opp)][metric]).outcome
+                        for task, subj in subject.items()
+                        if metric in subj and metric in cells.get((task, opp), {})]
+            row[opp] = "/".join(str(outcomes.count(o)) for o in (WIN, TIE, LOSS))
         out.append(row)
     return out
 
@@ -521,19 +514,26 @@ def write_manifest(config: ExperimentConfig, records, output_dir) -> str:
 
 
 def read_records_csv(path) -> list:
-    """Load a metrics.csv back into row dicts (numbers parsed where possible)."""
+    """Load a metrics.csv back into row dicts (numbers parsed where possible).
+
+    UsageError when the header lacks ``task`` or ``method``, or when a cell that
+    ran holds a metric value that is not a number.
+    """
     text = {*RECORD_HEAD, "excluded_subgroups"} - {"repetition", "seed"}
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        require_columns(path, reader.fieldnames, ("task", "method"))
         rows = []
-        for row in csv.DictReader(fh):
+        for row in reader:
+            ran = row.get("status", "ok") == "ok"
             parsed = {}
             for k, v in row.items():
-                if k in text:
+                try:
+                    parsed[k] = v if k in text else float(v)
+                except (TypeError, ValueError):
+                    if ran and k in FAIRNESS_METRICS + PERFORMANCE_METRICS:
+                        raise UsageError(f"{path}: line {reader.line_num}: {k} must be "
+                                         f"a number, got {v!r}") from None
                     parsed[k] = v
-                else:
-                    try:
-                        parsed[k] = float(v)
-                    except (TypeError, ValueError):
-                        parsed[k] = v
             rows.append(parsed)
         return rows

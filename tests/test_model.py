@@ -265,6 +265,48 @@ def test_reweighting_balances_cell_mass(rng):
     assert np.allclose(w2[:n], w)
 
 
+def reference_reweighting_weights(train):
+    """REW's weights as they were computed before the bincount form: three dict
+    counters over the rows' protected-value tuples."""
+    idx = train.schema.protected_indices
+    combos = [tuple(row[i] for i in idx) for row in train.rows]
+    n = len(train)
+    n_s: dict = {}
+    n_y = {0: 0, 1: 0}
+    n_sy: dict = {}
+    for combo, y in zip(combos, train.labels):
+        n_s[combo] = n_s.get(combo, 0) + 1
+        n_y[y] += 1
+        n_sy[(combo, y)] = n_sy.get((combo, y), 0) + 1
+    return np.array(
+        [n_s[c] * n_y[y] / (n * n_sy[(c, y)]) for c, y in zip(combos, train.labels)]
+    )
+
+
+@st.composite
+def reweighting_cases(draw):
+    """Splits over 1-3 protected attributes with 1-3 values each, often with a
+    single label class or (combination, label) cells left empty."""
+    k = draw(st.integers(1, 3))
+    schema = make_schema(protected=tuple(f"p{i}" for i in range(k)), extra=(("x", "numeric"),))
+    values = [st.sampled_from([f"v{j}" for j in range(draw(st.integers(1, 3)))])
+              for _ in range(k)]
+    n = draw(st.integers(1, 60))
+    rows = [(*draw(st.tuples(*values)), 0.0) for _ in range(n)]
+    label = st.sampled_from(draw(st.sampled_from([[0], [1], [0, 1]])))
+    return make_dataset(schema, rows, [draw(label) for _ in range(n)])
+
+
+@pytest.mark.filterwarnings("ignore:protected attribute .* single observed value")
+@settings(max_examples=200, deadline=None)
+@given(reweighting_cases())
+def test_reweighting_equals_the_dict_reference_bit_for_bit(train):
+    got = reweighting_weights(train, protected_domains(train))
+    want = reference_reweighting_weights(train)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 def reference_logistic_loss_grad(w, b, X, y, sample_w, l2):
     """Logistic regression's loss and gradients as they were computed before it
     trained as the net with no hidden layer: the independent reference for the

@@ -376,9 +376,10 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     data files and config files that are not a JSON object: exit 2 before loading any data. A schema file that is
     not JSON, declares an unknown attribute kind, holds an attribute entry that
     is not an object or a ``protected`` that is not a list of strings, and a
-    data file with an empty cell: exit 2 before training. ``fairhome report`` on a missing file
-    or a regions file without a region column: exit 2 before writing
-    anything. ``fairhome metrics`` on a missing file: exit 2."""
+    data file with an empty cell: exit 2 before training. ``fairhome report`` on a missing file,
+    a regions file without a region column, a metrics file without a task or
+    method column, or a metric value that is not a number in a cell that ran:
+    exit 2 before writing anything. ``fairhome metrics`` on a missing file: exit 2."""
     import fairhome.runner
     from fairhome.data import load_dataset
 
@@ -489,6 +490,23 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     assert capsys.readouterr() == (
         "", f"fairhome: error: {regions}: header lacks column(s) ['region']\n")
     assert not (tmp_path / "out").exists()
+    # a metrics.csv without a task or method column, or whose cell that ran
+    # holds a metric value that is not a number; a failed cell's blanks are fine
+    records = tmp_path / "records.csv"
+    for text, message in (
+        ("method,wc_spd\nfairhome,0.1\n", "header lacks column(s) ['task']"),
+        ("task,wc_spd\nt,0.1\n", "header lacks column(s) ['method']"),
+        ("wc_spd\n0.1\n", "header lacks column(s) ['task', 'method']"),
+        ("task,method,wc_spd\nt,fairhome,0.1\nt,fairhome,abc\n",
+         "line 3: wc_spd must be a number, got 'abc'"),
+        ("task,method,status,mcc\nt,rew,failed,\nt,fairhome,ok,\n",
+         "line 3: mcc must be a number, got ''"),
+    ):
+        records.write_text(text)
+        assert cli_main(["report", "--records", str(records),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"fairhome: error: {records}: {message}\n")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("methods", [("original", "fairhome"), ("original", "fairhome2"),
@@ -516,6 +534,60 @@ def test_win_tie_loss_written_iff_fairhome_ran(tmp_path, methods):
                 == (tmp_path / "report" / "win_tie_loss.csv").read_bytes())
 
 
+def run_cli(tmp_path, methods):
+    """``fairhome run`` of a 2-repetition german logistic matrix into ``tmp_path / "run"``."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "dataset_path": str(FIXTURES / "german_synth.csv"),
+        "schema_path": str(FIXTURES / "german_synth.schema.json"),
+        "methods": list(methods), "repetitions": 2, "fairea_degrees": [0.0, 1.0],
+        "fairea_reps": 1, "output_dir": str(tmp_path / "run"), "train": {"epochs": 2},
+    }))
+    return cli_main(["run", "--config", str(config_path)])
+
+
+def test_report_rebuilds_tables_of_a_run_with_failed_cells(tmp_path, monkeypatch):
+    """Failed cells (bad REW weights) are left out of the tables of ``fairhome
+    run`` and of ``fairhome report`` alike, byte for byte."""
+    import fairhome.runner
+
+    monkeypatch.setattr(fairhome.runner, "reweighting_weights",
+                        lambda train, domains: np.zeros(len(train)))
+    assert run_cli(tmp_path, ("original", "fairhome", "fairhome2", "rew")) == 1
+    run = tmp_path / "run"
+    assert "failed" in (run / "metrics.csv").read_text()
+    assert cli_main(["report", "--records", str(run / "metrics.csv"),
+                     "--out", str(tmp_path / "report")]) == 0
+    for name in ("improvement.csv", "win_tie_loss.csv"):
+        assert (tmp_path / "report" / name).read_bytes() == (run / name).read_bytes()
+        assert "rew" not in (run / name).read_text()
+    assert "fairhome2" in (run / "win_tie_loss.csv").read_text()
+
+
+def test_report_counts_every_row_of_a_metrics_csv_without_status(tmp_path):
+    """A row without a status column counts as a cell that ran."""
+    import csv
+
+    assert run_cli(tmp_path, ("original", "fairhome", "fairhome2")) == 0
+    run = tmp_path / "run"
+    with open(run / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = [c for c in rows[0] if c not in ("status", "error")]
+    with open(tmp_path / "bare.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    assert len(rows) == 6
+    assert cli_main(["report", "--records", str(tmp_path / "bare.csv"),
+                     "--out", str(tmp_path / "report")]) == 0
+    for name in ("improvement.csv", "win_tie_loss.csv"):
+        assert (tmp_path / "report" / name).read_bytes() == (run / name).read_bytes()
+    table = improvement_table(read_records_csv(tmp_path / "bare.csv"))
+    entry = next(t for t in table if t["method"] == "fairhome" and t["metric"] == "wc_spd")
+    assert entry["method_mean"] == float(np.mean(
+        [float(r["wc_spd"]) for r in rows if r["method"] == "fairhome"]))
+
+
 def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
     preds_path = tmp_path / "preds.csv"
     for bad_line in ("x,1,M", "1,,M", "1", "2,1,M"):
@@ -526,6 +598,17 @@ def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "line 3: " in captured.err
         assert repr(bad_line.split(",")[0]) in captured.err
+    # a header that repeats a column, lacks y_true or y_pred, or names no
+    # protected attribute: rejected before any row is read
+    for header, message in (
+        ("y_true,y_pred,g,g", "duplicate header columns ['g']"),
+        ("y_true,g", "header lacks column(s) ['y_pred']"),
+        ("y_pred,g", "header lacks column(s) ['y_true']"),
+        ("y_true,y_pred", "header needs at least one protected-attribute column"),
+    ):
+        preds_path.write_text("\n".join([header, "1,0,M,M", "x"]) + "\n")
+        assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
+        assert capsys.readouterr() == ("", f"fairhome: error: {preds_path}: {message}\n")
     # a row with too few or too many cells, even with good labels
     for bad_line, got in (("1,1", 2), ("1,1,F,x", 4)):
         preds_path.write_text("\n".join(["y_true,y_pred,g", "1,0,M", bad_line, "0,1,F"]) + "\n")
