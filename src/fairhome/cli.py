@@ -14,6 +14,7 @@ from .data import SubgroupKey
 from .errors import DataError, MetricUndefinedError, SchemaError, UsageError
 from .metrics import LabeledPredictions, compute_report
 from .runner import (
+    REGIONS,
     ExperimentConfig,
     emit_report,
     read_records_csv,
@@ -51,7 +52,12 @@ def cmd_report(args) -> int:
         with open(args.regions, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             require_columns(args.regions, reader.fieldnames, ("method", "region"))
-            case_rows = list(reader)
+            case_rows = []
+            for row in reader:
+                if row["region"] not in REGIONS:
+                    raise UsageError(f"{args.regions}: line {reader.line_num}: region must be "
+                                     f"one of {list(REGIONS)}, got {row['region']!r}")
+                case_rows.append(row)
     rows = read_records_csv(args.records)
     os.makedirs(args.out, exist_ok=True)
     for path in write_tables(args.out, rows, case_rows).values():
@@ -74,13 +80,13 @@ def cmd_metrics(args) -> int:
                              "protected-attribute column")
         y_true, y_pred, groups = [], [], {a: [] for a in protected}
         for cells in filter(None, reader):  # blank lines are skipped
-            row = dict(zip(header, cells))
-            if row.get("y_true") not in ("0", "1") or row.get("y_pred") not in ("0", "1"):
-                raise UsageError(f"line {reader.line_num}: y_true and y_pred must be "
-                                 f"0 or 1, got {row.get('y_true')!r}, {row.get('y_pred')!r}")
+            where = f"{args.predictions}: line {reader.line_num}"
             if len(cells) != len(header):
-                raise UsageError(f"line {reader.line_num}: expected {len(header)} cells, "
-                                 f"got {len(cells)}")
+                raise UsageError(f"{where}: expected {len(header)} cells, got {len(cells)}")
+            row = dict(zip(header, cells))
+            if row["y_true"] not in ("0", "1") or row["y_pred"] not in ("0", "1"):
+                raise UsageError(f"{where}: y_true and y_pred must be 0 or 1, "
+                                 f"got {row['y_true']!r}, {row['y_pred']!r}")
             y_true.append(int(row["y_true"]))
             y_pred.append(int(row["y_pred"]))
             for a in protected:

@@ -8,6 +8,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -340,7 +341,45 @@ def encode(instance: Instance, schema: Schema, encoding: EncodingMap) -> np.ndar
     return out
 
 
+def check_instances(instances, schema: Schema) -> list:
+    """``check_instance`` for every instance, a column at a time: first every
+    row's width, then each numeric column. On any failure the rows are checked
+    again one by one, so the first bad instance raises what it raises alone.
+    Returns the values as one tuple per attribute."""
+    try:
+        rows = [inst.values for inst in instances]
+        if set(map(len, rows)) == {len(schema.attributes)}:
+            columns = list(zip(*rows))
+            if all(all(map(math.isfinite, column))
+                   for column, attr in zip(columns, schema.attributes) if attr.kind == NUMERIC):
+                return columns
+    except (TypeError, ValueError, OverflowError):  # a value that is not a float
+        pass
+    for instance in instances:
+        check_instance(instance, schema)
+    return list(zip(*(inst.values for inst in instances)))
+
+
 def encode_matrix(instances, schema: Schema, encoding: EncodingMap) -> np.ndarray:
-    if not instances:
-        return np.zeros((0, encoding.dim))
-    return np.stack([encode(inst, schema, encoding) for inst in instances])
+    """The (N, dim) rows ``encode`` gives N instances, bit for bit. One instance
+    goes through ``encode``; a batch is checked and built a column at a time."""
+    n = len(instances)
+    if n < 2:
+        return np.array([encode(inst, schema, encoding) for inst in instances]).reshape(
+            n, encoding.dim)
+    out = np.zeros((n, encoding.dim))
+    pos = 0
+    for column, block in zip(check_instances(instances, schema), encoding.blocks):
+        if isinstance(block, CategoricalBlock):
+            hot = np.fromiter(map(block.offsets.get, column, repeat(-1)), dtype=np.intp, count=n)
+            rows = np.flatnonzero(hot >= 0)  # an unseen level leaves its row's block all zero
+            out[rows, pos + hot[rows]] = 1.0
+            pos += len(block.levels)
+        else:
+            span = block.hi - block.lo
+            if span != 0:
+                scaled = (np.array(column, dtype=float) - block.lo) / span
+                # encode's min(1.0, max(0.0, scaled)), comparison for comparison
+                out[:, pos] = np.where(scaled > 0.0, np.where(scaled < 1.0, scaled, 1.0), 0.0)
+            pos += 1
+    return out

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import CategoricalBlock, Instance, ProtectedDomains, check_instance, encode_matrix
+from .data import CategoricalBlock, Instance, ProtectedDomains, check_instances, encode_matrix
 from .errors import UsageError
 from .model import favorable
 from .mutate import CorrelationModel, MutationStrategy, generate_mutants, mutant_positions
@@ -86,6 +86,12 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
     is given, its numeric features moved by ``corr.shifted``, as correlated-features
     mutation does. The classifier needs ``encoding`` and ``proba_matrix``.
     """
+    X = encode_matrix(instances, domains.schema, classifier.encoding)
+    return _member_scores(classifier, X, instances, domains, corr)
+
+
+def _member_scores(classifier, X, instances, domains, corr) -> np.ndarray:
+    """``member_probabilities`` of ``instances`` encoded as the rows of ``X``."""
     schema, combos, encoding = domains.schema, domains.joint_combos, classifier.encoding
     starts = [0, *accumulate(len(b.levels) if isinstance(b, CategoricalBlock) else 1
                              for b in encoding.blocks)]
@@ -98,7 +104,6 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
             j = block.offsets.get(combo[a])
             if j is not None:  # a level the encoding lacks stays an all-zero block
                 template[c, start + j] = 1.0
-    X = encode_matrix(instances, schema, encoding)
     rows = np.where(rewrite, template, X[:, None, :])  # (N, 1 + C, dim)
 
     if corr is not None:
@@ -114,14 +119,18 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
 
 
 def _decide_encoded(classifier, instances, domains, mutation, ensemble, corr) -> np.ndarray:
-    """The batch engine: one probability matrix, reduced per own-combination group."""
+    """The batch engine: one probability matrix, reduced per own-combination group.
+
+    Encoding checks every input, so a bad one raises before anything else."""
+    X = encode_matrix(instances, domains.schema, classifier.encoding)
     if mutation is MutationStrategy.CORRELATED_FEATURES and corr is None:
         raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
     shift = corr if mutation is MutationStrategy.CORRELATED_FEATURES else None
-    P = member_probabilities(classifier, instances, domains, shift)
+    P = _member_scores(classifier, X, instances, domains, shift)
     groups: dict = {}
-    for r, inst in enumerate(instances):
-        groups.setdefault(domains.combo_of(inst), []).append(r)
+    owns = zip(*([inst.values[i] for inst in instances] for i in domains.schema.protected_indices))
+    for r, own in enumerate(owns):
+        groups.setdefault(own, []).append(r)
     decisions = np.empty(len(instances), dtype=int)
     for own, rows in groups.items():
         # the original first, then its mutants in generate_mutants order
@@ -149,17 +158,16 @@ def fairhome_predict(
     """Ensemble decision over each input and all its mutants.
 
     ``instances`` is one ``Instance`` (returns an int) or a sequence of them
-    (returns an int array), each first checked against ``domains.schema``.
+    (returns an int array), each first checked against ``domains.schema``, once.
     Classifiers with ``encoding`` and ``proba_matrix`` take the batch engine;
     others are asked one member at a time.
     """
     single = isinstance(instances, Instance)
     batch = [instances] if single else list(instances)
-    for instance in batch:
-        check_instance(instance, domains.schema)
     if hasattr(classifier, "encoding") and hasattr(classifier, "proba_matrix"):
         decisions = _decide_encoded(classifier, batch, domains, mutation, ensemble, corr)
     else:
+        check_instances(batch, domains.schema)
         decisions = np.array(
             [_decide_one(classifier, inst, domains, mutation, ensemble, corr) for inst in batch],
             dtype=int,

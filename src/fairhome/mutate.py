@@ -70,7 +70,8 @@ class CorrelationModel:
         own = [tuple(inst.values[i] for i in p_idx) for inst in instances]
         distinct = {o: r for r, o in enumerate(dict.fromkeys(own))}
         origin = self.predict(list(distinct))[[distinct[o] for o in own]]
-        raw = np.array([[inst.values[i] for i in f_idx] for inst in instances], dtype=float)
+        raw = np.array([[inst.values[i] for i in f_idx] for inst in instances],
+                       dtype=float).reshape(len(instances), len(f_idx))  # also for no instances
         return np.clip(raw[:, None] + (self.predict(targets) - origin[:, None]), *self.ranges.T)
 
 
@@ -90,7 +91,8 @@ def fit_extrapolation_models(train: Dataset) -> CorrelationModel:
     columns = tuple((attr, level) for a, attr in enumerate(schema.protected)
                     for level in sorted({combo[a] for combo in combos})[1:])
     design = np.hstack([np.ones((len(train), 1)), _indicators(schema.protected, columns, combos)])
-    targets = np.array([[row[schema.index_of(f)] for f in features] for row in train.rows])
+    f_idx = [schema.index_of(f) for f in features]
+    targets = np.array([[row[i] for i in f_idx] for row in train.rows])
     solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
 
     degenerate = rank < design.shape[1] or len(columns) == 0

@@ -182,7 +182,7 @@ class FaireaCase:
     region: str
 
     def to_row(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -191,12 +191,13 @@ class ExperimentResult:
     fairea_cases: list
 
 
-def _method_predictions(method, model, test, domains, corr):
-    """Test-set decisions of ``method``; ``model`` is the reweighted one for rew."""
+def _method_predictions(method, model, instances, domains, corr):
+    """Decisions of ``method`` on the test ``instances``; ``model`` is the
+    reweighted one for rew."""
     from .data import encode_matrix
 
     if method in ("original", "rew"):
-        X = encode_matrix(test.instances(), test.schema, model.encoding)
+        X = encode_matrix(instances, domains.schema, model.encoding)
         return favorable(model.proba_matrix(X))
     mutation, strategy = FAIRHOME_VARIANTS[method]
     if method == "fairhome5" and len(domains.schema.protected) == 2:
@@ -208,7 +209,7 @@ def _method_predictions(method, model, test, domains, corr):
             stacklevel=2,
         )
         strategy = EnsembleStrategy.AVERAGING
-    return fairhome_predict(model, test.instances(), domains, mutation, strategy, corr)
+    return fairhome_predict(model, instances, domains, mutation, strategy, corr)
 
 
 def require_files(*paths) -> None:
@@ -312,7 +313,8 @@ def _run_repetition(config, rep, records, cases) -> None:
         except Exception as e:
             rep.fitted["fairhome1"] = e
 
-    # the test split's group keys are factored once; each method scores a copy
+    # the test split's instances and group keys are built once for every method
+    instances = rep.test.instances()
     labeled = LabeledPredictions.from_dataset(rep.test, rep.test.labels)
     rep_reports: dict = {}
     rep_preds: dict = {}
@@ -328,7 +330,7 @@ def _run_repetition(config, rep, records, cases) -> None:
             if isinstance(prerequisite, Exception):
                 raise prerequisite
             corr = prerequisite if method == "fairhome1" else None
-            y_pred = _method_predictions(method, active, rep.test, rep.domains, corr)
+            y_pred = _method_predictions(method, active, instances, rep.domains, corr)
             preds = labeled.with_predictions(y_pred)
             record.report = compute_report(preds)
             rep_reports[method] = record.report

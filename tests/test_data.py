@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairhome.data import (
     AttributeSpec,
+    Dataset,
+    Instance,
     Schema,
     build_encoding,
+    check_instance,
+    check_instances,
     encode,
+    encode_matrix,
     load_dataset,
     protected_domains,
     split,
@@ -192,3 +199,82 @@ def test_encode_injective_on_training_domain(two_protected_schema):
         key = tuple(encode(inst, two_protected_schema, enc))
         assert key not in seen
         seen.add(key)
+
+
+NUMBERS = st.one_of(st.floats(-1e6, 1e6), st.integers(-10**6, 10**6), st.booleans())
+
+
+@st.composite
+def encoding_cases(draw):
+    """A schema of one protected and up to five other attributes, an encoding
+    built from a few rows (so numeric spans are often zero) and probe rows with
+    unseen levels and numerics of any type, in or out of the training range."""
+    kinds = draw(st.lists(st.sampled_from(["categorical", "numeric"]), min_size=1, max_size=5))
+    attrs = (AttributeSpec("p", "categorical"),
+             *(AttributeSpec(f"a{i}", kind) for i, kind in enumerate(kinds)))
+    schema = Schema(attributes=attrs, protected=("p",), label_column="y", favorable_value="1")
+
+    def rows(levels, numbers, count):
+        return [tuple(draw(st.sampled_from(levels)) if a.kind == "categorical" else draw(numbers)
+                      for a in attrs) for _ in range(count)]
+
+    train = rows("ab", st.one_of(st.sampled_from([0, 2.5, True]), NUMBERS), draw(st.integers(1, 4)))
+    encoding = build_encoding(Dataset(schema=schema, rows=train, labels=[]))
+    probes = rows("abc", NUMBERS, draw(st.sampled_from([0, 1, 2, draw(st.integers(3, 12))])))
+    return schema, encoding, [Instance(r) for r in probes]
+
+
+def _signed_zero_case():
+    """-0.0 at a training minimum of 0 scales to -0.0, which encode's clamp makes 0.0."""
+    schema = make_schema(protected=("p",), extra=(("x", "numeric"),))
+    encoding = build_encoding(Dataset(schema=schema, rows=[("a", 0), ("b", 2.5)], labels=[]))
+    return schema, encoding, [Instance(("a", -0.0)), Instance(("c", True)), Instance(("b", 9))]
+
+
+@settings(deadline=None)
+@given(encoding_cases())
+@example(_signed_zero_case())
+def test_encode_matrix_equals_stacked_encode_rows(case):
+    schema, encoding, probes = case
+    X = encode_matrix(probes, schema, encoding)
+    rows = [encode(inst, schema, encoding) for inst in probes]
+    reference = np.stack(rows) if rows else np.zeros((0, encoding.dim))
+    assert X.shape == reference.shape and X.dtype == reference.dtype
+    assert X.tobytes() == reference.tobytes()
+
+
+BAD_CELLS = ("3.0", None, float("nan"), float("inf"), float("-inf"))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 12), st.lists(st.tuples(
+    st.integers(0, 11), st.sampled_from(["short", "long", "x0", "x1"]),
+    st.sampled_from(BAD_CELLS)), min_size=1, max_size=3))
+def test_batch_raises_what_the_first_bad_row_raises(n, faults):
+    """Bad rows at random positions: the batch check raises the type and message
+    of the first row that ``check_instance`` rejects."""
+    schema = make_schema(protected=("p",), extra=(("x0", "numeric"), ("c", "categorical"),
+                                                  ("x1", "numeric")))
+    rows = [["a", float(i), "u", 1.5] for i in range(n)]
+    for position, fault, cell in faults:
+        row = rows[position % n]
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("extra")
+        elif len(row) == 4:
+            row[1 if fault == "x0" else 3] = cell
+    batch = [Instance(tuple(r)) for r in rows]
+    encoding = build_encoding(Dataset(schema=schema, rows=[("a", 0.0, "u", 1.0)], labels=[]))
+    first = None
+    for inst in batch:
+        try:
+            check_instance(inst, schema)
+        except Exception as e:
+            first = e
+            break
+    assert first is not None
+    for check in (check_instances, lambda b, s: encode_matrix(b, s, encoding)):
+        with pytest.raises(type(first)) as raised:
+            check(batch, schema)
+        assert str(raised.value) == str(first)

@@ -173,8 +173,8 @@ def test_runner_variants_match_reference_on_fixtures(kind, model_kind):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the fairhome5 fallback on german
         for method in FAIRHOME_VARIANTS:
-            fast = _method_predictions(method, model, test, domains, corr)
-            slow = _method_predictions(method, BlackBox(model), test, domains, corr)
+            fast = _method_predictions(method, model, test.instances(), domains, corr)
+            slow = _method_predictions(method, BlackBox(model), test.instances(), domains, corr)
             assert fast.tolist() == slow.tolist(), method
 
 
@@ -204,8 +204,9 @@ def test_engine_edge_inputs():
     for cell in (float("nan"), float("inf"), "3.0"):
         bad.append((values[:numeric] + (cell,) + values[numeric + 1:], DataError))
     for classifier in (model, BlackBox(model)):
-        empty = fairhome_predict(classifier, [], domains)
-        assert empty.shape == (0,) and empty.dtype.kind == "i"
+        for mutation in MutationStrategy:
+            empty = fairhome_predict(classifier, [], domains, mutation, corr=corr)
+            assert empty.shape == (0,) and empty.dtype.kind == "i"
         # every input is checked before either path runs, one at a time or in a batch
         for cells, error in bad:
             for mutation in MutationStrategy:
@@ -214,6 +215,10 @@ def test_engine_edge_inputs():
                 with pytest.raises(error):
                     fairhome_predict(classifier, [train.instance(1), Instance(cells)], domains,
                                      mutation, corr=corr)
+            # a bad input raises before a missing shift model does
+            with pytest.raises(error):
+                fairhome_predict(classifier, [train.instance(1), Instance(cells)], domains,
+                                 MutationStrategy.CORRELATED_FEATURES)
     with pytest.raises(UsageError, match="CorrelationModel"):
         fairhome_predict(model, train.instances()[:3], domains,
                          MutationStrategy.CORRELATED_FEATURES)

@@ -377,7 +377,8 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     not JSON, declares an unknown attribute kind, holds an attribute entry that
     is not an object or a ``protected`` that is not a list of strings, and a
     data file with an empty cell: exit 2 before training. ``fairhome report`` on a missing file,
-    a regions file without a region column, a metrics file without a task or
+    a regions file without a region column or with a row whose region is not a
+    trade-off region, a metrics file without a task or
     method column, or a metric value that is not a number in a cell that ran:
     exit 2 before writing anything. ``fairhome metrics`` on a missing file: exit 2."""
     import fairhome.runner
@@ -490,6 +491,15 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     assert capsys.readouterr() == (
         "", f"fairhome: error: {regions}: header lacks column(s) ['region']\n")
     assert not (tmp_path / "out").exists()
+    # a region that is not a trade-off region, or a row without one
+    for bad_row, got in (("fairhome,bogus", "'bogus'"), ("fairhome", "None")):
+        regions.write_text(f"method,region\nfairhome,win-win\n{bad_row}\n")
+        assert cli_main(["report", "--records", str(FIXTURES / "german_synth.csv"),
+                         "--regions", str(regions), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", f"fairhome: error: {regions}: line 3: region must be one of "
+                f"['win-win', 'good', 'poor', 'lose-lose', 'inverted'], got {got}\n")
+        assert not (tmp_path / "out").exists()
     # a metrics.csv without a task or method column, or whose cell that ran
     # holds a metric value that is not a number; a failed cell's blanks are fine
     records = tmp_path / "records.csv"
@@ -590,13 +600,13 @@ def test_report_counts_every_row_of_a_metrics_csv_without_status(tmp_path):
 
 def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
     preds_path = tmp_path / "preds.csv"
-    for bad_line in ("x,1,M", "1,,M", "1", "2,1,M"):
+    for bad_line in ("x,1,M", "1,,M", "2,1,M"):
         preds_path.write_text("\n".join(["y_true,y_pred,sex", "1,0,M", bad_line, "0,1,F"]) + "\n")
         capsys.readouterr()
         assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "line 3: " in captured.err
+        assert captured.err.count("\n") == 1 and f"{preds_path}: line 3: " in captured.err
         assert repr(bad_line.split(",")[0]) in captured.err
     # a header that repeats a column, lacks y_true or y_pred, or names no
     # protected attribute: rejected before any row is read
@@ -609,12 +619,12 @@ def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
         preds_path.write_text("\n".join([header, "1,0,M,M", "x"]) + "\n")
         assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
         assert capsys.readouterr() == ("", f"fairhome: error: {preds_path}: {message}\n")
-    # a row with too few or too many cells, even with good labels
-    for bad_line, got in (("1,1", 2), ("1,1,F,x", 4)):
+    # a row with too few or too many cells, checked before its labels
+    for bad_line, got in (("1,1", 2), ("1,1,F,x", 4), ("0", 1), ("x", 1), ("x,1,F,x", 4)):
         preds_path.write_text("\n".join(["y_true,y_pred,g", "1,0,M", bad_line, "0,1,F"]) + "\n")
         assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
         assert capsys.readouterr() == (
-            "", f"fairhome: error: line 3: expected 3 cells, got {got}\n")
+            "", f"fairhome: error: {preds_path}: line 3: expected 3 cells, got {got}\n")
 
 
 def test_cli_metrics_undefined_metric_exits_2(tmp_path, capsys):
