@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
-import numpy as np
-
-from .data import SubgroupKey
+from .data import read_table
 from .errors import DataError, MetricUndefinedError, SchemaError, UsageError
 from .metrics import LabeledPredictions, compute_report
 from .runner import (
@@ -18,8 +15,8 @@ from .runner import (
     ExperimentConfig,
     emit_report,
     read_records_csv,
-    require_columns,
     require_files,
+    require_output_dir,
     run_experiment,
     write_manifest,
     write_tables,
@@ -34,6 +31,7 @@ def cmd_run(args) -> int:
         output_dir=args.out,
         paper_arch=True if args.paper_arch else None,
     )
+    require_output_dir(config.output_dir)
     result = run_experiment(config)
     paths = emit_report(result.records, result.fairea_cases, config.output_dir)
     paths["manifest"] = write_manifest(config, result.records, config.output_dir)
@@ -47,17 +45,18 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     require_files(args.records, *filter(None, [args.regions]))
+    require_output_dir(args.out)
     case_rows = None
     if args.regions:
-        with open(args.regions, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            require_columns(args.regions, reader.fieldnames, ("method", "region"))
-            case_rows = []
-            for row in reader:
-                if row["region"] not in REGIONS:
-                    raise UsageError(f"{args.regions}: line {reader.line_num}: region must be "
-                                     f"one of {list(REGIONS)}, got {row['region']!r}")
-                case_rows.append(row)
+        lines = read_table(args.regions, required=("method", "region"))
+        header = next(lines)
+        case_rows = []
+        for where, cells in lines:
+            row = dict(zip(header, cells))
+            if row["region"] not in REGIONS:
+                raise UsageError(f"{where}: region must be one of {list(REGIONS)}, "
+                                 f"got {row['region']!r}")
+            case_rows.append(row)
     rows = read_records_csv(args.records)
     os.makedirs(args.out, exist_ok=True)
     for path in write_tables(args.out, rows, case_rows).values():
@@ -67,39 +66,23 @@ def cmd_report(args) -> int:
 
 def cmd_metrics(args) -> int:
     require_files(args.predictions)
-    with open(args.predictions, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        duplicates = sorted({name for name in header if header.count(name) > 1})
-        if duplicates:
-            raise UsageError(f"{args.predictions}: duplicate header columns {duplicates}")
-        require_columns(args.predictions, header, ("y_true", "y_pred"))
-        protected = [c for c in header if c not in ("y_true", "y_pred")]
-        if not protected:
-            raise UsageError(f"{args.predictions}: header needs at least one "
-                             "protected-attribute column")
-        y_true, y_pred, groups = [], [], {a: [] for a in protected}
-        for cells in filter(None, reader):  # blank lines are skipped
-            where = f"{args.predictions}: line {reader.line_num}"
-            if len(cells) != len(header):
-                raise UsageError(f"{where}: expected {len(header)} cells, got {len(cells)}")
-            row = dict(zip(header, cells))
-            if row["y_true"] not in ("0", "1") or row["y_pred"] not in ("0", "1"):
-                raise UsageError(f"{where}: y_true and y_pred must be 0 or 1, "
-                                 f"got {row['y_true']!r}, {row['y_pred']!r}")
-            y_true.append(int(row["y_true"]))
-            y_pred.append(int(row["y_pred"]))
-            for a in protected:
-                groups[a].append(row[a])
-
-    subgroups = tuple(
-        SubgroupKey(tuple((a, groups[a][i]) for a in protected))
-        for i in range(len(y_true))
-    )
-    data = LabeledPredictions(
-        y_true=np.array(y_true), y_pred=np.array(y_pred),
-        subgroup_of=subgroups, single_group_of={a: tuple(v) for a, v in groups.items()},
-    )
+    lines = read_table(args.predictions, required=("y_true", "y_pred"))
+    header = next(lines)
+    protected = [c for c in header if c not in ("y_true", "y_pred")]
+    if not protected:
+        raise UsageError(f"{args.predictions}: header needs at least one "
+                         "protected-attribute column")
+    y_true, y_pred, groups = [], [], {a: [] for a in protected}
+    for where, cells in lines:
+        row = dict(zip(header, cells))
+        if row["y_true"] not in ("0", "1") or row["y_pred"] not in ("0", "1"):
+            raise UsageError(f"{where}: y_true and y_pred must be 0 or 1, "
+                             f"got {row['y_true']!r}, {row['y_pred']!r}")
+        y_true.append(int(row["y_true"]))
+        y_pred.append(int(row["y_pred"]))
+        for a in protected:
+            groups[a].append(row[a])
+    data = LabeledPredictions.from_columns(y_true, y_pred, groups)
     try:
         flat = compute_report(data).to_flat_dict()
     except MetricUndefinedError as e:

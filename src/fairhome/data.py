@@ -143,40 +143,51 @@ def _parse_cell(raw: str, attr: AttributeSpec, where: str):
     return raw
 
 
-def load_dataset(path, schema: Schema) -> Dataset:
-    """Read a headered CSV into a Dataset, binarizing labels against the schema.
-
-    Raises SchemaError when the header repeats a column or does not carry
-    exactly the schema attributes plus the label column, and DataError for
-    malformed rows or a label column with more than one non-favorable value
-    (multi-class).
-    """
+def read_table(path, required=()):
+    """Yield a headered CSV's header, then ``("PATH: line N", cells)`` for each
+    row, skipping blank lines. Raises DataError for an empty file or a row whose
+    cell count differs from the header's, and SchemaError for a header that
+    repeats a column or lacks any of ``required``. The header comes before any
+    row is read, so a caller's own header check runs first."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        lines = filter(None, reader)
+        header = next(lines, None)
         if header is None:
             raise DataError(f"{path}: empty file")
         duplicates = sorted({name for name in header if header.count(name) > 1})
         if duplicates:
             raise SchemaError(f"{path}: duplicate header columns {duplicates}")
-        expected = set(schema.names()) | {schema.label_column}
-        got = set(header)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise SchemaError(f"{path}: header mismatch (missing {missing}, unexpected {extra})")
-        col = {name: header.index(name) for name in header}
-        label_col = col[schema.label_column]
-
-        rows: list[tuple] = []
-        raw_labels: list[str] = []
-        for line_no, cells in enumerate(reader, start=2):
-            where = f"{path}: line {line_no}"
+        lacking = [c for c in required if c not in header]
+        if lacking:
+            raise SchemaError(f"{path}: header lacks column(s) {lacking}")
+        yield header
+        for cells in lines:
+            where = f"{path}: line {reader.line_num}"
             if len(cells) != len(header):
                 raise DataError(f"{where}: expected {len(header)} cells, got {len(cells)}")
-            parsed = tuple(_parse_cell(cells[col[a.name]], a, where) for a in schema.attributes)
-            rows.append(parsed)
-            raw_labels.append(cells[label_col])
+            yield where, cells
+
+
+def load_dataset(path, schema: Schema) -> Dataset:
+    """Read a headered CSV into a Dataset, binarizing labels against the schema.
+
+    Beyond ``read_table``'s checks: SchemaError unless the header holds exactly
+    the schema attributes and the label column, DataError for a bad cell or a
+    label column with more than one non-favorable value (multi-class)."""
+    lines = read_table(path)
+    header = next(lines)
+    expected = set(schema.names()) | {schema.label_column}
+    if set(header) != expected:
+        raise SchemaError(f"{path}: header mismatch (missing {sorted(expected - set(header))}, "
+                          f"unexpected {sorted(set(header) - expected)})")
+    attribute_cols = [(header.index(a.name), a) for a in schema.attributes]
+    label_col = header.index(schema.label_column)
+    rows: list[tuple] = []
+    raw_labels: list[str] = []
+    for where, cells in lines:
+        rows.append(tuple(_parse_cell(cells[i], a, where) for i, a in attribute_cols))
+        raw_labels.append(cells[label_col])
 
     non_favorable = {v for v in raw_labels if v != schema.favorable_value}
     if len(non_favorable) > 1:
@@ -255,10 +266,6 @@ class SubgroupKey:
 
     assignment: tuple
 
-    @classmethod
-    def from_combo(cls, protected: tuple, combo: tuple) -> "SubgroupKey":
-        return cls(tuple(zip(protected, combo)))
-
     def label(self) -> str:
         return ",".join(f"{a}={v}" for a, v in self.assignment)
 
@@ -315,7 +322,7 @@ def check_instance(instance: Instance, schema: Schema) -> None:
             continue
         try:
             finite = math.isfinite(value)
-        except TypeError:  # not a number at all
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
             finite = False
         if not finite:
             raise DataError(f"{attr.name!r} needs a finite number, got {value!r}")

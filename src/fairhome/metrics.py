@@ -55,14 +55,19 @@ class LabeledPredictions:
         self._codes = None
 
     @classmethod
-    def from_dataset(cls, test: Dataset, y_pred) -> "LabeledPredictions":
-        protected = test.schema.protected
-        singles = {name: tuple(row[i] for row in test.rows)
-                   for name, i in zip(protected, test.schema.protected_indices)}
-        subgroups = tuple(SubgroupKey.from_combo(protected, combo)
+    def from_columns(cls, y_true, y_pred, groups: dict) -> "LabeledPredictions":
+        """``groups`` holds each protected attribute's column of group values."""
+        singles = {name: tuple(column) for name, column in groups.items()}
+        subgroups = tuple(SubgroupKey(tuple(zip(singles, combo)))
                           for combo in zip(*singles.values()))
-        return cls(y_true=np.asarray(test.labels), y_pred=np.asarray(y_pred),
-                   subgroup_of=subgroups, single_group_of=singles)
+        return cls(y_true, y_pred, subgroup_of=subgroups, single_group_of=singles)
+
+    @classmethod
+    def from_dataset(cls, test: Dataset, y_pred) -> "LabeledPredictions":
+        schema = test.schema
+        return cls.from_columns(test.labels, y_pred, {
+            name: [row[i] for row in test.rows]
+            for name, i in zip(schema.protected, schema.protected_indices)})
 
     @property
     def group_codes(self) -> tuple:

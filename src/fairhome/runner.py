@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import (Dataset, ProtectedDomains, Schema, check_test_fraction, load_dataset,
-                   protected_domains, split)
+                   protected_domains, read_table, split)
 from .ensemble import EnsembleStrategy, fairhome_predict
 from .errors import TrainingError, UsageError
 from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, TradeoffPoint, TradeoffRegion,
@@ -219,11 +219,14 @@ def require_files(*paths) -> None:
             raise UsageError(f"no such file: {path}")
 
 
-def require_columns(path, header, columns) -> None:
-    """UsageError naming ``path`` when the CSV ``header`` lacks any of ``columns``."""
-    lacking = [c for c in columns if c not in (header or [])]
-    if lacking:
-        raise UsageError(f"{path}: header lacks column(s) {lacking}")
+def require_output_dir(path) -> None:
+    """UsageError naming ``path`` unless it is a directory or can be made one:
+    its nearest existing ancestor must be a directory."""
+    nearest = os.path.abspath(path)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise UsageError(f"{path}: not a directory")
 
 
 @dataclass
@@ -291,18 +294,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     records: list = []
     cases: list = []
+    task = config.task_id
     for rep in reps:
-        _run_repetition(config, rep, records, cases)
+        _run_repetition(config, task, rep, records, cases)
     return ExperimentResult(records=records, fairea_cases=cases)
 
 
-def _run_repetition(config, rep, records, cases) -> None:
+def _run_repetition(config, task, rep, records, cases) -> None:
     """Append one repetition's records, and its Fairea cases, to ``records``
     and ``cases``."""
     if isinstance(rep.model, Exception):
         for method in config.methods:
             records.append(RunRecord(
-                task=config.task_id, method=method, repetition=rep.index, seed=rep.seed,
+                task=task, method=method, repetition=rep.index, seed=rep.seed,
                 error=f"{type(rep.model).__name__}: {rep.model}",
             ))
         return
@@ -323,7 +327,7 @@ def _run_repetition(config, rep, records, cases) -> None:
         prerequisite = rep.fitted.get(method)
         active = prerequisite if method == "rew" else rep.model
         record = RunRecord(
-            task=config.task_id, method=method, repetition=rep.index, seed=rep.seed,
+            task=task, method=method, repetition=rep.index, seed=rep.seed,
             model_fingerprint="" if isinstance(active, Exception) else active.fingerprint(),
         )
         try:
@@ -342,11 +346,11 @@ def _run_repetition(config, rep, records, cases) -> None:
 
     if "original" in rep_reports:
         cases.extend(
-            _classify_rep(config, rep.index, rep_reports, rep_preds["original"], rep.seed)
+            _classify_rep(config, task, rep.index, rep_reports, rep_preds["original"], rep.seed)
         )
 
 
-def _classify_rep(config, rep, rep_reports, original_preds, seed):
+def _classify_rep(config, task, rep, rep_reports, original_preds, seed):
     """Fairea-classify every mitigation method of one repetition.
 
     Each (fairness, performance) baseline and original point is built once and
@@ -369,7 +373,7 @@ def _classify_rep(config, rep, rep_reports, original_preds, seed):
             region = classify_case(TradeoffPoint(flat[fm], flat[pm], fm, pm),
                                    original_point, baseline)
             cases.append(FaireaCase(
-                task=config.task_id, method=method, repetition=rep,
+                task=task, method=method, repetition=rep,
                 fairness_metric=fm, performance_metric=pm, region=region.value,
             ))
     return cases
@@ -518,24 +522,21 @@ def write_manifest(config: ExperimentConfig, records, output_dir) -> str:
 def read_records_csv(path) -> list:
     """Load a metrics.csv back into row dicts (numbers parsed where possible).
 
-    UsageError when the header lacks ``task`` or ``method``, or when a cell that
-    ran holds a metric value that is not a number.
+    ``read_table`` checks the file and its ``task`` and ``method`` columns;
+    UsageError when a cell that ran holds a metric value that is not a number.
     """
     text = {*RECORD_HEAD, "excluded_subgroups"} - {"repetition", "seed"}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        require_columns(path, reader.fieldnames, ("task", "method"))
-        rows = []
-        for row in reader:
-            ran = row.get("status", "ok") == "ok"
-            parsed = {}
-            for k, v in row.items():
-                try:
-                    parsed[k] = v if k in text else float(v)
-                except (TypeError, ValueError):
-                    if ran and k in FAIRNESS_METRICS + PERFORMANCE_METRICS:
-                        raise UsageError(f"{path}: line {reader.line_num}: {k} must be "
-                                         f"a number, got {v!r}") from None
-                    parsed[k] = v
-            rows.append(parsed)
-        return rows
+    lines = read_table(path, required=("task", "method"))
+    header = next(lines)
+    rows = []
+    for where, cells in lines:
+        row = dict(zip(header, cells))
+        ran = row.get("status", "ok") == "ok"
+        for k, v in row.items():
+            try:
+                row[k] = v if k in text else float(v)
+            except ValueError:
+                if ran and k in FAIRNESS_METRICS + PERFORMANCE_METRICS:
+                    raise UsageError(f"{where}: {k} must be a number, got {v!r}") from None
+        rows.append(row)
+    return rows

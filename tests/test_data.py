@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from fairhome.data import (
     encode_matrix,
     load_dataset,
     protected_domains,
+    read_table,
     split,
 )
 from fairhome.errors import DataError, SchemaError, UsageError
@@ -41,6 +45,11 @@ def test_load_maps_labels(tmp_path, two_protected_schema):
     ds = load_dataset(p, schema)
     assert ds.labels == [1, 0, 0, 1]
     assert ds.rows[0] == ("M", "W", 1.0, "a")
+    # blank lines, before the header and between rows, are skipped
+    lines = p.read_text().splitlines()
+    p.write_text("\n" + lines[0] + "\n\n" + lines[1] + "\r\n\r\n\n"
+                 + "\n\n".join(lines[2:]) + "\n\n")
+    assert load_dataset(p, schema) == ds
 
 
 def test_load_missing_protected_column(tmp_path, two_protected_schema):
@@ -76,6 +85,73 @@ def test_load_rejects_multiclass_and_bad_cells(tmp_path, two_protected_schema):
     write_csv(p, HEADER, [["M", "W", "1.0", "a"]])
     with pytest.raises(DataError):
         load_dataset(p, two_protected_schema)
+
+
+def _csv_reader_loop(path, required):
+    """What a plain ``csv.reader`` loop over ``path`` finds: the header, then
+    (where, cells) per non-blank row, or the first error it meets."""
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for cells in reader:
+            if not cells:
+                continue
+            if not out:
+                repeated = sorted({c for c in cells if cells.count(c) > 1})
+                if repeated:
+                    raise SchemaError(f"{path}: duplicate header columns {repeated}")
+                lacking = [c for c in required if c not in cells]
+                if lacking:
+                    raise SchemaError(f"{path}: header lacks column(s) {lacking}")
+                out.append(cells)
+            elif len(cells) != len(out[0]):
+                raise DataError(f"{path}: line {reader.line_num}: "
+                                f"expected {len(out[0])} cells, got {len(cells)}")
+            else:
+                out.append((f"{path}: line {reader.line_num}", cells))
+    if not out:
+        raise DataError(f"{path}: empty file")
+    return out
+
+
+CELL_TEXT = st.text(alphabet=["a", "b", ",", '"', "\n", "\r", " ", "é"], max_size=4)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(CELL_TEXT, min_size=1, max_size=4, unique=True), st.data())
+def test_read_table_yields_what_a_csv_reader_loop_finds(tmp_path_factory, header, data):
+    """Rows written by ``csv.writer`` (commas, quotes, newlines and empty cells),
+    blank lines at random places, and maybe a ragged row, a repeated header
+    column or a missing required one: ``read_table`` yields what a plain
+    ``csv.reader`` loop finds, or raises its first error."""
+    width = len(header)
+    rows = data.draw(st.lists(st.lists(CELL_TEXT, min_size=width, max_size=width), max_size=6))
+    if rows and data.draw(st.sampled_from([False, True])):  # ragged rows
+        for i in data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2)):
+            rows[i] = rows[i][:-1] if data.draw(st.booleans()) else [*rows[i], "x"]
+    if data.draw(st.sampled_from([False, False, False, True])):
+        header = [*header, data.draw(st.sampled_from(header))]
+    required = data.draw(st.lists(st.sampled_from(header), max_size=2))
+    if data.draw(st.sampled_from([False, False, False, True])):
+        required.append("absent")
+    chunks = []
+    for row in [header, *rows]:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow(row)
+        chunks.append(buffer.getvalue())
+    for _ in range(data.draw(st.integers(0, 3))):  # blank lines between records
+        chunks.insert(data.draw(st.integers(0, len(chunks))), data.draw(
+            st.sampled_from(["\n", "\r\n"])))
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_text("".join(chunks), encoding="utf-8", newline="")
+    try:
+        expected = _csv_reader_loop(path, required)
+    except (SchemaError, DataError) as e:
+        with pytest.raises(type(e)) as raised:
+            list(read_table(path, required))
+        assert str(raised.value) == str(e)
+    else:
+        assert list(read_table(path, required)) == expected
 
 
 def test_schema_validation():
@@ -243,7 +319,7 @@ def test_encode_matrix_equals_stacked_encode_rows(case):
     assert X.tobytes() == reference.tobytes()
 
 
-BAD_CELLS = ("3.0", None, float("nan"), float("inf"), float("-inf"))
+BAD_CELLS = ("3.0", None, float("nan"), float("inf"), float("-inf"), 10**400)
 
 
 @settings(deadline=None, max_examples=60)
@@ -258,11 +334,13 @@ def test_batch_raises_what_the_first_bad_row_raises(n, faults):
     rows = [["a", float(i), "u", 1.5] for i in range(n)]
     for position, fault, cell in faults:
         row = rows[position % n]
+        if len(row) != 4:  # already ragged: a second width fault could undo the first
+            continue
         if fault == "short":
             row.pop()
         elif fault == "long":
             row.append("extra")
-        elif len(row) == 4:
+        else:
             row[1 if fault == "x0" else 3] = cell
     batch = [Instance(tuple(r)) for r in rows]
     encoding = build_encoding(Dataset(schema=schema, rows=[("a", 0.0, "u", 1.0)], labels=[]))

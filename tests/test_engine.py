@@ -201,7 +201,7 @@ def test_engine_edge_inputs():
     values = train.rows[0]
     numeric = next(i for i, a in enumerate(train.schema.attributes) if a.kind == "numeric")
     bad = [(values[:-1], ShapeError), ((*values, "extra"), ShapeError)]
-    for cell in (float("nan"), float("inf"), "3.0"):
+    for cell in (float("nan"), float("inf"), "3.0", 10**400):
         bad.append((values[:numeric] + (cell,) + values[numeric + 1:], DataError))
     for classifier in (model, BlackBox(model)):
         for mutation in MutationStrategy:

@@ -376,11 +376,15 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     data files and config files that are not a JSON object: exit 2 before loading any data. A schema file that is
     not JSON, declares an unknown attribute kind, holds an attribute entry that
     is not an object or a ``protected`` that is not a list of strings, and a
-    data file with an empty cell: exit 2 before training. ``fairhome report`` on a missing file,
-    a regions file without a region column or with a row whose region is not a
-    trade-off region, a metrics file without a task or
-    method column, or a metric value that is not a number in a cell that ran:
-    exit 2 before writing anything. ``fairhome metrics`` on a missing file: exit 2."""
+    data file with an empty cell: exit 2 before training. An output directory
+    that names a file, or lies under one: exit 2 before loading any data.
+    ``fairhome report`` on a missing file or an ``--out`` that names a file (before
+    reading any input), a regions file without a region column, with a repeated
+    column, a ragged row or a row whose region is not a trade-off region, a
+    metrics file that is empty, without a task or method column, with a repeated
+    column or a ragged row, or a metric value that is not a number in a cell
+    that ran: exit 2 before writing anything. ``fairhome metrics`` on a missing
+    file: exit 2."""
     import fairhome.runner
     from fairhome.data import load_dataset
 
@@ -451,6 +455,17 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         run_exits_2(message)
     assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
     assert f"{tmp_path / 'none.json'}: No such file" in capsys.readouterr().err
+    # an output directory that is a file, or lies under one
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        config_path.write_text(json.dumps({**base, "output_dir": str(out)}))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"fairhome: error: {out}: not a directory\n")
+        # a malformed metrics.csv shows that the output is checked before any input is read
+        assert cli_main(["report", "--records", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"fairhome: error: {out}: not a directory\n")
+        assert afile.read_text() == "kept\n"
 
     # bad schema and data files, which are read before training
     monkeypatch.setattr(fairhome.runner, "load_dataset", load_dataset)
@@ -491,19 +506,33 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     assert capsys.readouterr() == (
         "", f"fairhome: error: {regions}: header lacks column(s) ['region']\n")
     assert not (tmp_path / "out").exists()
-    # a region that is not a trade-off region, or a row without one
-    for bad_row, got in (("fairhome,bogus", "'bogus'"), ("fairhome", "None")):
-        regions.write_text(f"method,region\nfairhome,win-win\n{bad_row}\n")
+    # a region that is not a trade-off region, a row without one or with one
+    # cell too many, and a repeated column
+    for text, message in (
+        ("method,region\nfairhome,win-win\nfairhome,bogus\n",
+         "line 3: region must be one of ['win-win', 'good', 'poor', 'lose-lose', 'inverted'], "
+         "got 'bogus'"),
+        ("method,region\nfairhome,win-win\nfairhome\n", "line 3: expected 2 cells, got 1"),
+        ("method,region\nfairhome,win-win\n\nfairhome,good,x\n",
+         "line 4: expected 2 cells, got 3"),
+        ("method,region,region\nfairhome,win-win,good\n",
+         "duplicate header columns ['region']"),
+    ):
+        regions.write_text(text)
         assert cli_main(["report", "--records", str(FIXTURES / "german_synth.csv"),
                          "--regions", str(regions), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr() == (
-            "", f"fairhome: error: {regions}: line 3: region must be one of "
-                f"['win-win', 'good', 'poor', 'lose-lose', 'inverted'], got {got}\n")
+        assert capsys.readouterr() == ("", f"fairhome: error: {regions}: {message}\n")
         assert not (tmp_path / "out").exists()
-    # a metrics.csv without a task or method column, or whose cell that ran
-    # holds a metric value that is not a number; a failed cell's blanks are fine
+    # a metrics.csv that is empty, lacks a task or method column, repeats a
+    # column, holds a ragged row, or whose cell that ran holds a metric value
+    # that is not a number; a failed cell's blanks are fine
     records = tmp_path / "records.csv"
     for text, message in (
+        ("", "empty file"),
+        ("\n\n", "empty file"),
+        ("task,method,wc_spd,wc_spd\nt,fairhome,0.1,9.0\n", "duplicate header columns ['wc_spd']"),
+        ("task,method,wc_spd\nt,fairhome,0.1\nt,fairhome\n", "line 3: expected 3 cells, got 2"),
+        ("task,method,wc_spd\n\nt,fairhome,0.1,0.2\n", "line 3: expected 3 cells, got 4"),
         ("method,wc_spd\nfairhome,0.1\n", "header lacks column(s) ['task']"),
         ("task,wc_spd\nt,0.1\n", "header lacks column(s) ['method']"),
         ("wc_spd\n0.1\n", "header lacks column(s) ['task', 'method']"),
