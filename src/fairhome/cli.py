@@ -11,10 +11,10 @@ from .data import read_table
 from .errors import DataError, MetricUndefinedError, SchemaError, UsageError
 from .metrics import LabeledPredictions, compute_report
 from .runner import (
-    REGIONS,
     ExperimentConfig,
     emit_report,
     read_records_csv,
+    read_regions_csv,
     require_files,
     require_output_dir,
     run_experiment,
@@ -46,17 +46,7 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     require_files(args.records, *filter(None, [args.regions]))
     require_output_dir(args.out)
-    case_rows = None
-    if args.regions:
-        lines = read_table(args.regions, required=("method", "region"))
-        header = next(lines)
-        case_rows = []
-        for where, cells in lines:
-            row = dict(zip(header, cells))
-            if row["region"] not in REGIONS:
-                raise UsageError(f"{where}: region must be one of {list(REGIONS)}, "
-                                 f"got {row['region']!r}")
-            case_rows.append(row)
+    case_rows = read_regions_csv(args.regions) if args.regions else None
     rows = read_records_csv(args.records)
     os.makedirs(args.out, exist_ok=True)
     for path in write_tables(args.out, rows, case_rows).values():

@@ -148,25 +148,29 @@ def read_table(path, required=()):
     row, skipping blank lines. Raises DataError for an empty file or a row whose
     cell count differs from the header's, and SchemaError for a header that
     repeats a column or lacks any of ``required``. The header comes before any
-    row is read, so a caller's own header check runs first."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    row is read, so a caller's own header check runs first. The file must be
+    UTF-8 text (DataError otherwise); a leading byte-order mark is dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         lines = filter(None, reader)
-        header = next(lines, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        duplicates = sorted({name for name in header if header.count(name) > 1})
-        if duplicates:
-            raise SchemaError(f"{path}: duplicate header columns {duplicates}")
-        lacking = [c for c in required if c not in header]
-        if lacking:
-            raise SchemaError(f"{path}: header lacks column(s) {lacking}")
-        yield header
-        for cells in lines:
-            where = f"{path}: line {reader.line_num}"
-            if len(cells) != len(header):
-                raise DataError(f"{where}: expected {len(header)} cells, got {len(cells)}")
-            yield where, cells
+        try:
+            header = next(lines, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            duplicates = sorted({name for name in header if header.count(name) > 1})
+            if duplicates:
+                raise SchemaError(f"{path}: duplicate header columns {duplicates}")
+            lacking = [c for c in required if c not in header]
+            if lacking:
+                raise SchemaError(f"{path}: header lacks column(s) {lacking}")
+            yield header
+            for cells in lines:
+                where = f"{path}: line {reader.line_num}"
+                if len(cells) != len(header):
+                    raise DataError(f"{where}: expected {len(header)} cells, got {len(cells)}")
+                yield where, cells
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def load_dataset(path, schema: Schema) -> Dataset:

@@ -65,7 +65,8 @@ def check_curve_settings(degrees, reps: int) -> tuple:
     """Validated degrees (ascending, 0.0 to 1.0) for ``reps`` >= 1 repetitions."""
     degrees = tuple(degrees)
     # the range test is written so that NaN, which compares false, fails it
-    if (not all(isinstance(d, Real) and 0.0 <= d <= 1.0 for d in degrees)
+    if (not all(isinstance(d, Real) and not isinstance(d, bool) and 0.0 <= d <= 1.0
+                for d in degrees)
             or list(degrees) != sorted(degrees)
             or not degrees or degrees[0] != 0.0 or degrees[-1] != 1.0):
         raise UsageError("degrees must be ascending numbers spanning 0.0 to 1.0")

@@ -222,6 +222,8 @@ def require_files(*paths) -> None:
 def require_output_dir(path) -> None:
     """UsageError naming ``path`` unless it is a directory or can be made one:
     its nearest existing ancestor must be a directory."""
+    if not path:
+        raise UsageError("output directory path is empty")
     nearest = os.path.abspath(path)
     while not os.path.exists(nearest):
         nearest = os.path.dirname(nearest)
@@ -238,26 +240,24 @@ class _Repetition:
     train: Dataset
     test: Dataset
     domains: ProtectedDomains
-    # the fit's weights entry: None for the main model, then REW's weights
-    weights: list = field(default_factory=lambda: [None])
-    # the main model, or the exception that fails every cell of the repetition
-    model: object = None
-    # method -> the extra model it needs, or the exception that fails its cells
-    fitted: dict = field(default_factory=dict)
+    # need -> its fitted object, or the exception that fails the cells needing
+    # it: "model" (every method but rew), "rew" and "fairhome1"
+    needs: dict = field(default_factory=dict)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full matrix and classify every mitigation case against Fairea.
 
     Three passes: split every repetition and check what its training needs;
-    train the models of every repetition that passed in one fit call; then run
-    the methods and the Fairea classification repetition by repetition.
+    train the models of every repetition that passed in one fit call, then
+    fairhome1's extrapolation models of each one that trained; then run the
+    methods and the Fairea classification repetition by repetition.
     """
     require_files(config.schema_path, config.dataset_path)
     schema = Schema.from_json(config.schema_path)
     dataset = load_dataset(config.dataset_path, schema)
 
-    reps = []
+    reps, ready, weights = [], [], []
     for index in range(config.repetitions):
         seed = config.base_seed + index
         train, test = split(dataset, config.test_fraction, seed)
@@ -266,20 +266,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         try:
             check_trainable(train)
         except TrainingError as e:  # every cell of this repetition fails
-            rep.model = e
+            rep.needs["model"] = e
             continue
+        ready.append(rep)
+        weights.append([None])  # the fit's weights entry: the main model's, then REW's
         # REW's model is trained in the same descent as the main one; its
         # weights are checked first, so that bad weights fail its cells alone
         if "rew" in config.methods:
             try:
-                rep.weights.append(check_weights(reweighting_weights(train, rep.domains)))
+                weights[-1].append(check_weights(reweighting_weights(train, rep.domains)))
             except Exception as e:
-                rep.fitted["rew"] = e
+                rep.needs["rew"] = e
 
-    ready = [rep for rep in reps if rep.model is None]
     trains = [rep.train for rep in ready]
     configs = [replace(config.train, seed=rep.seed) for rep in ready]
-    weights = [rep.weights for rep in ready]
     try:
         if config.model_kind == "logistic":
             results = fit_logistic(trains, configs, weights=weights)
@@ -289,8 +289,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     except Exception as e:  # every cell of these repetitions fails
         results = [[e]] * len(ready)
     for rep, (model, *companion_models) in zip(ready, results):
-        rep.model = model
-        rep.fitted.update(zip(("rew",), companion_models))
+        rep.needs["model"] = model
+        rep.needs.update(zip(("rew",), companion_models))
+        # a failed extrapolation fit fails the fairhome1 cells alone
+        if "fairhome1" in config.methods and not isinstance(model, Exception):
+            try:
+                rep.needs["fairhome1"] = fit_extrapolation_models(rep.train)
+            except Exception as e:
+                rep.needs["fairhome1"] = e
 
     records: list = []
     cases: list = []
@@ -302,80 +308,59 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def _run_repetition(config, task, rep, records, cases) -> None:
     """Append one repetition's records, and its Fairea cases, to ``records``
-    and ``cases``."""
-    if isinstance(rep.model, Exception):
-        for method in config.methods:
-            records.append(RunRecord(
-                task=task, method=method, repetition=rep.index, seed=rep.seed,
-                error=f"{type(rep.model).__name__}: {rep.model}",
-            ))
-        return
-    # a failed extrapolation fit is raised in the fairhome1 cells alone
-    if "fairhome1" in config.methods:
-        try:
-            rep.fitted["fairhome1"] = fit_extrapolation_models(rep.train)
-        except Exception as e:
-            rep.fitted["fairhome1"] = e
-
+    and ``cases``. A cell fails with the main model's exception, else with that
+    of its own need; it carries the fingerprint of the model it scores with
+    whenever that model trained."""
     # the test split's instances and group keys are built once for every method
     instances = rep.test.instances()
     labeled = LabeledPredictions.from_dataset(rep.test, rep.test.labels)
-    rep_reports: dict = {}
-    rep_preds: dict = {}
+    first, original_preds = len(records), None
     for method in config.methods:
         start = time.perf_counter()
-        prerequisite = rep.fitted.get(method)
-        active = prerequisite if method == "rew" else rep.model
-        record = RunRecord(
-            task=task, method=method, repetition=rep.index, seed=rep.seed,
-            model_fingerprint="" if isinstance(active, Exception) else active.fingerprint(),
-        )
+        own = rep.needs.get(method)  # rew's model, fairhome1's extrapolation models
+        model = own if method == "rew" else rep.needs["model"]
+        fingerprint = model.fingerprint() if hasattr(model, "fingerprint") else ""
+        record = RunRecord(task, method, rep.index, rep.seed, fingerprint)
         try:
-            if isinstance(prerequisite, Exception):
-                raise prerequisite
-            corr = prerequisite if method == "fairhome1" else None
-            y_pred = _method_predictions(method, active, instances, rep.domains, corr)
-            preds = labeled.with_predictions(y_pred)
+            for need in (rep.needs["model"], own):
+                if isinstance(need, Exception):
+                    raise need
+            corr = own if method == "fairhome1" else None
+            preds = labeled.with_predictions(
+                _method_predictions(method, model, instances, rep.domains, corr))
             record.report = compute_report(preds)
-            rep_reports[method] = record.report
-            rep_preds[method] = preds
+            if method == "original":
+                original_preds = preds
         except Exception as e:  # isolate the cell, keep the matrix going
             record.error = f"{type(e).__name__}: {e}"
         record.duration_s = time.perf_counter() - start
         records.append(record)
-
-    if "original" in rep_reports:
-        cases.extend(
-            _classify_rep(config, task, rep.index, rep_reports, rep_preds["original"], rep.seed)
-        )
+    if original_preds is not None:
+        cases.extend(_classify_rep(config, task, rep, original_preds, records[first:]))
 
 
-def _classify_rep(config, task, rep, rep_reports, original_preds, seed):
-    """Fairea-classify every mitigation method of one repetition.
+def _classify_rep(config, task, rep, original_preds, records):
+    """Fairea-classify every mitigation method of one repetition whose cell in
+    ``records`` ran.
 
     Each (fairness, performance) baseline and original point is built once and
     shared by every method.
     """
-    curve = mutation_curve(original_preds, config.fairea_degrees, config.fairea_reps, seed)
-    original_flat = rep_reports["original"].to_flat_dict()
+    flats = {r.method: r.report.to_flat_dict() for r in records if r.report is not None}
+    original_flat = flats.pop("original")
+    curve = mutation_curve(original_preds, config.fairea_degrees, config.fairea_reps, rep.seed)
     pairs = {
         (fm, pm): (build_baseline(original_preds, fm, pm, config.fairea_degrees,
-                                  config.fairea_reps, seed, curve=curve),
+                                  config.fairea_reps, rep.seed, curve=curve),
                    TradeoffPoint(original_flat[fm], original_flat[pm], fm, pm))
         for fm in FAIRNESS_METRICS for pm in PERFORMANCE_METRICS
     }
     cases = []
-    for method, report in rep_reports.items():
-        if method == "original":
-            continue
-        flat = report.to_flat_dict()
+    for method, flat in flats.items():
         for (fm, pm), (baseline, original_point) in pairs.items():
             region = classify_case(TradeoffPoint(flat[fm], flat[pm], fm, pm),
                                    original_point, baseline)
-            cases.append(FaireaCase(
-                task=task, method=method, repetition=rep,
-                fairness_metric=fm, performance_metric=pm, region=region.value,
-            ))
+            cases.append(FaireaCase(task, method, rep.index, fm, pm, region.value))
     return cases
 
 
@@ -538,5 +523,20 @@ def read_records_csv(path) -> list:
             except ValueError:
                 if ran and k in FAIRNESS_METRICS + PERFORMANCE_METRICS:
                     raise UsageError(f"{where}: {k} must be a number, got {v!r}") from None
+        rows.append(row)
+    return rows
+
+
+def read_regions_csv(path) -> list:
+    """Load a fairea_regions.csv back into row dicts. ``read_table`` checks the
+    file and its columns; UsageError when a region is not a trade-off region."""
+    lines = read_table(path, required=("method", "region"))
+    header = next(lines)
+    rows = []
+    for where, cells in lines:
+        row = dict(zip(header, cells))
+        if row["region"] not in REGIONS:
+            raise UsageError(f"{where}: region must be one of {list(REGIONS)}, "
+                             f"got {row['region']!r}")
         rows.append(row)
     return rows

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 
@@ -152,6 +153,29 @@ def test_read_table_yields_what_a_csv_reader_loop_finds(tmp_path_factory, header
         assert str(raised.value) == str(e)
     else:
         assert list(read_table(path, required)) == expected
+
+
+def test_read_table_reads_utf8_text_and_drops_a_byte_order_mark(tmp_path):
+    """A leading UTF-8 byte-order mark is dropped, so such a file reads as the
+    same file without it. Bytes that are not UTF-8, in the header or in a row
+    far past the first read, are a DataError naming the path."""
+    schema = make_schema()
+    p = tmp_path / "d.csv"
+    plain = "\n".join([",".join(HEADER), *["M,W,1.0,é,yes", "F,N,2.0,b,no"] * 500, ""]).encode()
+    p.write_bytes(plain)
+    table, ds = list(read_table(p, required=("sex",))), load_dataset(p, schema)
+    p.write_bytes(codecs.BOM_UTF8 + plain)
+    assert list(read_table(p, required=("sex",))) == table
+    assert load_dataset(p, schema) == ds
+    for text in (plain.replace("é".encode(), "é".encode("latin-1"), 1),  # first row
+                 plain.replace(b"race", b"r\xe9ce", 1),  # the header
+                 plain + "M,W,3.0,é,yes\n".encode("latin-1"),  # the last row
+                 codecs.BOM_UTF8 + plain + b"\xff\n"):
+        p.write_bytes(text)
+        for read in (lambda: list(read_table(p)), lambda: load_dataset(p, schema)):
+            with pytest.raises(DataError) as raised:
+                read()
+            assert str(raised.value) == f"{p}: not UTF-8 text"
 
 
 def test_schema_validation():

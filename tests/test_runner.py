@@ -1,3 +1,4 @@
+import codecs
 import json
 import warnings
 from pathlib import Path
@@ -77,25 +78,27 @@ def test_bad_rew_weights_fail_the_rew_cells_alone(tmp_path, monkeypatch):
             assert after.model_fingerprint == before.model_fingerprint
 
 
+def split_one_single_label(dataset, test_fraction, seed):
+    """``split``, except that the training split of seed 43 holds one label."""
+    from fairhome.data import split
+
+    train, test = split(dataset, test_fraction, seed)
+    if seed == 43:
+        train.labels = [1] * len(train)
+    return train, test
+
+
 def test_an_untrainable_split_fails_its_own_repetition_alone(tmp_path, monkeypatch):
     """Every repetition trains in one fit call, after a trainability check: a
     repetition whose training split holds a single label class fails every cell
     of its own with the training error, and the others equal runs of each
     repetition alone (``repetitions`` 1 at ``base_seed + r``)."""
     import fairhome.runner
-    from fairhome.data import split
 
     methods = ("original", "fairhome", "rew")
     alone = {rep: run_experiment(small_config(tmp_path, methods=methods, repetitions=1,
                                               base_seed=42 + rep)).records
              for rep in (0, 2)}
-
-    def split_one_single_label(dataset, test_fraction, seed):
-        train, test = split(dataset, test_fraction, seed)
-        if seed == 43:
-            train.labels = [1] * len(train)
-        return train, test
-
     monkeypatch.setattr(fairhome.runner, "split", split_one_single_label)
     result = run_experiment(small_config(tmp_path, methods=methods, repetitions=3))
     assert [(r.repetition, r.method) for r in result.records] == [
@@ -110,6 +113,64 @@ def test_an_untrainable_split_fails_its_own_repetition_alone(tmp_path, monkeypat
         assert record.error is None and single.error is None
         assert record.model_fingerprint == single.model_fingerprint
         assert record.report.to_flat_dict() == single.report.to_flat_dict()
+
+
+def test_a_failed_lockstep_fit_fails_every_repetition_it_trained(tmp_path, monkeypatch):
+    """When the one fit call raises, every cell of each repetition it trained
+    fails with the fit's error and no fingerprint, rew's too although its
+    weights are bad as well; an untrainable repetition keeps its training
+    error, no extrapolation model is fitted and no Fairea case is made."""
+    import fairhome.runner
+
+    def diverging_fit(*args, **kwargs):
+        raise FloatingPointError("descent diverged")
+
+    extrapolated = []
+    monkeypatch.setattr(fairhome.runner, "split", split_one_single_label)
+    monkeypatch.setattr(fairhome.runner, "fit_logistic", diverging_fit)
+    monkeypatch.setattr(fairhome.runner, "fit_extrapolation_models", extrapolated.append)
+    monkeypatch.setattr(fairhome.runner, "reweighting_weights",
+                        lambda train, domains: np.zeros(len(train)))
+    methods = ("original", "fairhome", "fairhome1", "rew")
+    result = run_experiment(small_config(tmp_path, methods=methods, repetitions=3))
+    assert [(r.repetition, r.method) for r in result.records] == [
+        (rep, method) for rep in range(3) for method in methods]
+    for record in result.records:
+        assert record.error == ("TrainingError: training data contains a single label class"
+                                if record.repetition == 1
+                                else "FloatingPointError: descent diverged")
+        assert record.model_fingerprint == "" and record.report is None
+    assert result.fairea_cases == [] and extrapolated == []
+
+
+def test_a_variant_that_fails_to_score_fails_its_own_cells_alone(tmp_path, monkeypatch):
+    """A fairhome variant that raises while predicting fails its own cells,
+    which keep the model's fingerprint; every other cell and every other
+    method's Fairea case is unchanged."""
+    import fairhome.runner
+    from fairhome.ensemble import EnsembleStrategy, fairhome_predict
+
+    config = small_config(tmp_path, methods=("original", "fairhome", "fairhome2", "rew"))
+    good = run_experiment(config)
+
+    def averaging_fails(model, instances, domains, mutation, strategy, corr=None):
+        if strategy is EnsembleStrategy.AVERAGING:
+            raise FloatingPointError("scores overflowed")
+        return fairhome_predict(model, instances, domains, mutation, strategy, corr)
+
+    monkeypatch.setattr(fairhome.runner, "fairhome_predict", averaging_fails)
+    bad = run_experiment(config)
+    assert len(bad.records) == len(good.records) == 8
+    for before, after in zip(good.records, bad.records):
+        assert before.error is None and after.model_fingerprint == before.model_fingerprint
+        if after.method == "fairhome2":
+            assert after.error == "FloatingPointError: scores overflowed"
+            assert after.report is None
+        else:
+            assert after.error is None
+            assert after.report.to_flat_dict() == before.report.to_flat_dict()
+    assert any(c.method == "fairhome2" for c in good.fairea_cases)
+    assert bad.fairea_cases == [c for c in good.fairea_cases if c.method != "fairhome2"]
 
 
 def test_original_record_matches_direct_evaluation(tmp_path):
@@ -235,9 +296,12 @@ def test_failure_isolation(tmp_path):
     )
     result = run_experiment(config)
     by_method = {r.method: r for r in result.records}
-    # the cell carries the extrapolation fit's own failure
+    # the cell carries the extrapolation fit's own failure, and the fingerprint
+    # of the model it scores with
     assert by_method["fairhome1"].error == (
         "UsageError: no numeric non-protected features to extrapolate")
+    assert by_method["fairhome1"].model_fingerprint == by_method["original"].model_fingerprint
+    assert by_method["original"].model_fingerprint != ""
     assert by_method["original"].error is None
     assert by_method["fairhome"].error is None
 
@@ -334,6 +398,10 @@ def test_cli_run_report_metrics(tmp_path, capsys):
     assert cli_main(["metrics", "--predictions", str(preds_path)]) == 0
     printed = capsys.readouterr().out
     assert "wc_spd=" in printed and "mcc=" in printed
+    # a leading byte-order mark is dropped
+    preds_path.write_bytes(codecs.BOM_UTF8 + preds_path.read_bytes())
+    assert cli_main(["metrics", "--predictions", str(preds_path)]) == 0
+    assert capsys.readouterr() == (printed, "")
 
 
 def test_cli_seed_and_reps_overrides(tmp_path):
@@ -362,6 +430,8 @@ def test_cli_seed_and_reps_overrides(tmp_path):
     {"fairea_degrees": [0.0, 0.5]},
     {"fairea_degrees": [0.5, 0.0, 1.0]},
     {"fairea_degrees": []},
+    {"fairea_degrees": [0.0, 0.5, True]},
+    {"fairea_degrees": [False, 1.0]},
 ])
 def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
     from fairhome.errors import UsageError
@@ -377,9 +447,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     not JSON, declares an unknown attribute kind, holds an attribute entry that
     is not an object or a ``protected`` that is not a list of strings, and a
     data file with an empty cell: exit 2 before training. An output directory
-    that names a file, or lies under one: exit 2 before loading any data.
-    ``fairhome report`` on a missing file or an ``--out`` that names a file (before
-    reading any input), a regions file without a region column, with a repeated
+    that names a file, lies under one or is empty: exit 2 before loading any
+    data. ``fairhome report`` on a missing file or an ``--out`` that names a file
+    or is empty (before reading any input), a regions file without a region column, with a repeated
     column, a ragged row or a row whose region is not a trade-off region, a
     metrics file that is empty, without a task or method column, with a repeated
     column or a ragged row, or a metric value that is not a number in a cell
@@ -440,6 +510,7 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"test_fraction": float("inf")}, "test_fraction must be in (0, 1), got inf"),
         ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
         ({"fairea_degrees": [0.0, float("nan"), 1.0]}, "degrees must be ascending numbers"),
+        ({"fairea_degrees": [0.0, 0.5, True]}, "degrees must be ascending numbers"),
         ({"train": {"seed": 5}}, "train key 'seed' is set by each repetition"),
         ({"train": {"seed": 0}}, "train key 'seed' is set by each repetition"),
         ({"train": {"instance_weights": [1.0, 2.0]}},
@@ -455,17 +526,22 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         run_exits_2(message)
     assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
     assert f"{tmp_path / 'none.json'}: No such file" in capsys.readouterr().err
-    # an output directory that is a file, or lies under one
+    # an output directory that is a file, lies under one or is empty, in the
+    # config or from --out
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
-    for out in (afile, afile / "sub"):
-        config_path.write_text(json.dumps({**base, "output_dir": str(out)}))
-        assert cli_main(["run", "--config", str(config_path)]) == 2
-        assert capsys.readouterr() == ("", f"fairhome: error: {out}: not a directory\n")
+    for out, message in ((afile, f"{afile}: not a directory"),
+                         (afile / "sub", f"{afile / 'sub'}: not a directory"),
+                         ("", "output directory path is empty")):
+        for text, flags in ((json.dumps({**base, "output_dir": str(out)}), []),
+                            (json.dumps(base), ["--out", str(out)])):
+            config_path.write_text(text)
+            assert cli_main(["run", "--config", str(config_path), *flags]) == 2
+            assert capsys.readouterr() == ("", f"fairhome: error: {message}\n")
         # a malformed metrics.csv shows that the output is checked before any input is read
         assert cli_main(["report", "--records", str(config_path), "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", f"fairhome: error: {out}: not a directory\n")
-        assert afile.read_text() == "kept\n"
+        assert capsys.readouterr() == ("", f"fairhome: error: {message}\n")
+        assert afile.read_text() == "kept\n" and not (tmp_path / "out").exists()
 
     # bad schema and data files, which are read before training
     monkeypatch.setattr(fairhome.runner, "load_dataset", load_dataset)
@@ -637,6 +713,10 @@ def test_cli_metrics_bad_label_cell_exits_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and f"{preds_path}: line 3: " in captured.err
         assert repr(bad_line.split(",")[0]) in captured.err
+    # a file that is not UTF-8 text
+    preds_path.write_bytes("y_true,y_pred,sex\n1,0,\xe9\n0,1,F\n".encode("latin-1"))
+    assert cli_main(["metrics", "--predictions", str(preds_path)]) == 2
+    assert capsys.readouterr() == ("", f"fairhome: error: {preds_path}: not UTF-8 text\n")
     # a header that repeats a column, lacks y_true or y_pred, or names no
     # protected attribute: rejected before any row is read
     for header, message in (
