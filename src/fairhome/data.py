@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import repeat
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -16,12 +18,62 @@ from .errors import DataError, SchemaError, ShapeError, UsageError
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
+# what each annotated type accepts from JSON: a number or a list, not a bool
+_ACCEPTED = {float: Real, int: Integral, tuple: (tuple, list)}
+
+
+def read_json(path):
+    """The JSON value in the file ``path``, read as ``read_table`` reads a CSV; a
+    UsageError names the path when the file cannot be opened or is not JSON."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise UsageError(f"{path}: {e.strerror}") from None
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise UsageError(f"{path}: not a JSON file ({e})") from None
+
+
+def check_keys(doc, cls, where: str) -> dict:
+    """``doc``; UsageError, naming it as ``where``, unless it is a JSON object that
+    holds every field of the dataclass ``cls`` without a default and no other key."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING and f.name not in doc]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise UsageError(f"{problem} {where} key(s) {keys}")
+    return doc
+
+
+def check_field_types(obj) -> None:
+    """UsageError naming the first field of the dataclass ``obj`` whose value
+    does not have its annotated type; a bool passes only for a bool."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if typing.get_origin(hint) is tuple:  # tuple[T, ...]: a tuple or list of T
+            item = typing.get_args(hint)[0]
+            ok = isinstance(value, (tuple, list)) and all(isinstance(v, item) for v in value)
+            expected = "a list of " + ("strings" if item is str else "JSON objects")
+        else:
+            kinds = tuple(_ACCEPTED.get(k, k) for k in typing.get_args(hint) or (hint,))
+            ok = isinstance(value, bool) == (bool in kinds) and isinstance(value, kinds)
+            expected = getattr(hint, "__name__", hint)
+        if not ok:
+            raise UsageError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class AttributeSpec:
     name: str
     kind: str
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.kind not in (CATEGORICAL, NUMERIC):
+            raise SchemaError(f"unknown kind {self.kind!r} for attribute {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -38,23 +90,23 @@ class Schema:
     favorable_value: str
 
     def __post_init__(self):
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
+        check_field_types(self)
+        for name in ("attributes", "protected"):  # a JSON list becomes a tuple
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        kinds = {a.name: a.kind for a in self.attributes}
+        if len(kinds) != len(self.attributes):
             raise SchemaError("duplicate attribute names in schema")
-        for a in self.attributes:
-            if a.kind not in (CATEGORICAL, NUMERIC):
-                raise SchemaError(f"unknown kind {a.kind!r} for attribute {a.name!r}")
         if not self.protected:
             raise SchemaError("schema needs at least one protected attribute")
         if len(set(self.protected)) != len(self.protected):
             raise SchemaError("duplicate names in protected list")
         for p in self.protected:
-            if p not in names:
+            if p not in kinds:
                 raise SchemaError(f"protected attribute {p!r} is not a schema attribute")
-        if self.label_column in names:
+        if self.label_column in kinds:
             raise SchemaError(f"label column {self.label_column!r} must not be an attribute")
         for p in self.protected:
-            if self.kind_of(p) != CATEGORICAL:
+            if kinds[p] != CATEGORICAL:
                 raise SchemaError(f"protected attribute {p!r} must be categorical")
 
     def names(self) -> tuple[str, ...]:
@@ -66,43 +118,24 @@ class Schema:
                 return i
         raise SchemaError(f"unknown attribute {name!r}")
 
-    def kind_of(self, name: str) -> str:
-        return self.attributes[self.index_of(name)].kind
-
     @cached_property  # the schema is frozen; computed once, on first use
     def protected_indices(self) -> tuple[int, ...]:
         return tuple(self.index_of(p) for p in self.protected)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Schema":
-        try:
-            entries, protected = d["attributes"], d["protected"]
-            if not isinstance(entries, list) or not all(isinstance(a, dict) for a in entries):
-                raise SchemaError("attributes must be a list of JSON objects")
-            if not isinstance(protected, list) or not all(isinstance(p, str) for p in protected):
-                raise SchemaError("protected must be a list of strings")
-            return cls(
-                attributes=tuple(AttributeSpec(a["name"], a["kind"]) for a in entries),
-                protected=tuple(protected),
-                label_column=d["label_column"],
-                favorable_value=str(d["favorable_value"]),
-            )
-        except KeyError as e:
-            raise SchemaError(f"schema config missing key: {e}") from e
-
-    @classmethod
     def from_json(cls, path) -> "Schema":
-        """The schema in the JSON file ``path``; a SchemaError names the path."""
+        """The schema in the JSON file ``path``, whose path its SchemaErrors name."""
+        doc = read_json(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except ValueError as e:  # not JSON, or not text
-            raise SchemaError(f"{path}: not a JSON file ({e})") from None
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{path}: schema must be a JSON object, not {type(doc).__name__}")
-        try:
-            return cls.from_dict(doc)
-        except SchemaError as e:
+            entries = check_keys(doc, cls, "schema")["attributes"]
+            if isinstance(entries, list) and all(isinstance(a, dict) for a in entries):
+                doc["attributes"] = [AttributeSpec(**check_keys(a, AttributeSpec, "attribute"))
+                                     for a in entries]
+            value = doc["favorable_value"]
+            if isinstance(value, Real) and not isinstance(value, bool):  # stands for its text
+                doc["favorable_value"] = str(value)
+            return cls(**doc)
+        except (SchemaError, UsageError) as e:
             raise SchemaError(f"{path}: {e}") from None
 
 
@@ -150,7 +183,11 @@ def read_table(path, required=()):
     repeats a column or lacks any of ``required``. The header comes before any
     row is read, so a caller's own header check runs first. The file must be
     UTF-8 text (DataError otherwise); a leading byte-order mark is dropped."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as e:
+        raise DataError(f"{path}: {e.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         lines = filter(None, reader)
         try:

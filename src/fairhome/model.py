@@ -17,9 +17,8 @@ finite-difference checking.
 from __future__ import annotations
 
 import hashlib
-import typing
+import sys
 from dataclasses import astuple, dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,25 +29,13 @@ from .data import (
     ProtectedDomains,
     Schema,
     build_encoding,
+    check_field_types,
     encode,
     encode_matrix,
 )
 from .errors import TrainingError, UsageError
 
 DEFAULT_HIDDEN_LAYERS = (64, 32, 16, 8, 4)
-# what each annotated type accepts in a config: a JSON number or list, not a bool
-_ACCEPTED = {float: Real, int: Integral, tuple: (tuple, list)}
-
-
-def check_field_types(config) -> None:
-    """UsageError naming the first field of the dataclass ``config`` whose value
-    does not have its annotated type; a bool passes only for a bool."""
-    for name, hint in typing.get_type_hints(type(config)).items():
-        value = getattr(config, name)
-        kinds = tuple(_ACCEPTED.get(k, k) for k in typing.get_args(hint) or (hint,))
-        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
-            raise UsageError(f"{name} must be {getattr(hint, '__name__', hint)}, "
-                             f"got {value!r}")
 
 
 @dataclass
@@ -61,14 +48,14 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        # written so that NaN fails each comparison and is rejected
-        if not 0 < self.learning_rate < np.inf:
+        # written so that NaN, and an int past the float range, fail and are rejected
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise UsageError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise UsageError("batch_size must be >= 1 or None")
-        if not 0 <= self.l2_penalty < np.inf:
+        if not 0 <= self.l2_penalty <= sys.float_info.max:
             raise UsageError(f"l2_penalty must be non-negative and finite, got {self.l2_penalty}")
 
 
@@ -150,6 +137,9 @@ class LogisticModel:
     encoding: EncodingMap
     schema: Schema
 
+    def parameters(self) -> list:
+        return [self.weights, self.bias]
+
     def proba_matrix(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(X @ self.weights + self.bias)
 
@@ -168,6 +158,9 @@ class MlpModel:
     layer_biases: list
     encoding: EncodingMap
     schema: Schema
+
+    def parameters(self) -> list:
+        return [*self.layer_weights, *self.layer_biases]
 
     def proba_matrix(self, X: np.ndarray) -> np.ndarray:
         return mlp_forward(self.layer_weights, self.layer_biases, np.atleast_2d(X))[0][:, 0]

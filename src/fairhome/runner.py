@@ -17,12 +17,13 @@ import json
 import os
 import time
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import (Dataset, ProtectedDomains, Schema, check_test_fraction, load_dataset,
-                   protected_domains, read_table, split)
+from .data import (Dataset, ProtectedDomains, Schema, check_field_types, check_keys,
+                   check_test_fraction, load_dataset, protected_domains, read_json, read_table,
+                   split)
 from .ensemble import EnsembleStrategy, fairhome_predict
 from .errors import TrainingError, UsageError
 from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, TradeoffPoint, TradeoffRegion,
@@ -36,7 +37,6 @@ from .metrics import (
 from .model import (
     DEFAULT_HIDDEN_LAYERS,
     TrainConfig,
-    check_field_types,
     check_trainable,
     check_weights,
     favorable,
@@ -121,32 +121,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
+        raw = read_json(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as e:
-            raise UsageError(f"{path}: {e.strerror}") from None
-        except ValueError as e:  # not JSON, or not text
-            raise UsageError(f"{path}: not a JSON file ({e})") from None
-        train_raw = raw.pop("train", {}) if isinstance(raw, dict) else None
-        for where, given, known in (("config", raw, cls), ("train", train_raw, TrainConfig)):
-            if not isinstance(given, dict):
-                raise UsageError(f"{path}: {where} must be a JSON object, "
-                                 f"not {type(given).__name__}")
-            unknown = sorted(set(given) - {f.name for f in fields(known)})
-            if unknown:
-                raise UsageError(f"{path}: unknown {where} key(s) {unknown}")
+            check_keys(raw, cls, "config")
+            train = check_keys(raw.pop("train", {}), TrainConfig, "train")
+            if "seed" in train:
+                raise UsageError("train key 'seed' is set by each repetition, not by the config")
+        except UsageError as e:
+            raise UsageError(f"{path}: {e}") from None
         raw.update({k: v for k, v in overrides.items() if v is not None})
-        missing = [f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING and f.name not in raw]
-        if missing:
-            raise UsageError(f"{path}: missing config key(s) {missing}")
-        kwargs = dict(raw)
-        kwargs["train"] = TrainConfig(**train_raw)
-        if "seed" in train_raw:
-            raise UsageError(f"{path}: train key 'seed' is set by each repetition, "
-                             "not by the config")
-        return cls(**kwargs)
+        return cls(**raw, train=TrainConfig(**train))
 
 
 @dataclass
@@ -221,7 +205,8 @@ def require_files(*paths) -> None:
 
 def require_output_dir(path) -> None:
     """UsageError naming ``path`` unless it is a directory or can be made one:
-    its nearest existing ancestor must be a directory."""
+    its nearest existing ancestor must be a directory, and each name to be
+    made below it must hold no NUL and fit the file system."""
     if not path:
         raise UsageError("output directory path is empty")
     nearest = os.path.abspath(path)
@@ -229,6 +214,14 @@ def require_output_dir(path) -> None:
         nearest = os.path.dirname(nearest)
     if not os.path.isdir(nearest):
         raise UsageError(f"{path}: not a directory")
+    longest = os.pathconf(nearest, "PC_NAME_MAX")
+    for name in os.path.relpath(os.path.abspath(path), nearest).split(os.sep):
+        try:
+            valid = "\0" not in name and len(os.fsencode(name)) <= longest
+        except UnicodeError:  # a lone surrogate, which no file name holds
+            valid = False
+        if not valid:
+            raise UsageError(f"{path!r}: not a valid directory name")
 
 
 @dataclass
@@ -249,8 +242,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full matrix and classify every mitigation case against Fairea.
 
     Three passes: split every repetition and check what its training needs;
-    train the models of every repetition that passed in one fit call, then
-    fairhome1's extrapolation models of each one that trained; then run the
+    train the models of every repetition that passed in one fit call (a model
+    left with a non-finite parameter fails as diverged), then fairhome1's
+    extrapolation models of each one whose model trained; then run the
     methods and the Fairea classification repetition by repetition.
     """
     require_files(config.schema_path, config.dataset_path)
@@ -288,7 +282,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             results = fit_mlp(trains, configs, hidden_layers=hidden, weights=weights)
     except Exception as e:  # every cell of these repetitions fails
         results = [[e]] * len(ready)
-    for rep, (model, *companion_models) in zip(ready, results):
+    for rep, result in zip(ready, results):
+        model, *companion_models = map(_unless_diverged, result)
         rep.needs["model"] = model
         rep.needs.update(zip(("rew",), companion_models))
         # a failed extrapolation fit fails the fairhome1 cells alone
@@ -304,6 +299,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for rep in reps:
         _run_repetition(config, task, rep, records, cases)
     return ExperimentResult(records=records, fairea_cases=cases)
+
+
+def _unless_diverged(model):
+    """``model``, or a TrainingError in its place when descent left one of its
+    parameters non-finite; an exception passes through."""
+    if isinstance(model, Exception) or all(np.isfinite(p).all() for p in model.parameters()):
+        return model
+    return TrainingError("descent diverged")
 
 
 def _run_repetition(config, task, rep, records, cases) -> None:

@@ -1,6 +1,11 @@
 import codecs
 import csv
+import errno
 import io
+import json
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +24,15 @@ from fairhome.data import (
     encode_matrix,
     load_dataset,
     protected_domains,
+    read_json,
     read_table,
     split,
 )
 from fairhome.errors import DataError, SchemaError, UsageError
 
 from conftest import make_dataset, make_schema
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def write_csv(path, header, rows):
@@ -176,6 +184,32 @@ def test_read_table_reads_utf8_text_and_drops_a_byte_order_mark(tmp_path):
             with pytest.raises(DataError) as raised:
                 read()
             assert str(raised.value) == f"{p}: not UTF-8 text"
+
+
+def test_read_table_and_read_json_name_a_path_they_cannot_open(tmp_path):
+    message = f"{tmp_path}: {os.strerror(errno.EISDIR)}"
+    with pytest.raises(DataError) as raised:
+        list(read_table(tmp_path))
+    assert str(raised.value) == message
+    with pytest.raises(UsageError) as raised:
+        read_json(tmp_path)
+    assert str(raised.value) == message
+
+
+def test_schema_from_json_drops_a_byte_order_mark_and_reads_a_number_as_its_text(tmp_path):
+    """A leading byte-order mark is dropped; a number given as the favorable
+    value stands for its text; a file that is not UTF-8 is not a JSON file."""
+    doc = json.loads((FIXTURES / "german_synth.schema.json").read_text())
+    p = tmp_path / "s.json"
+    p.write_bytes(codecs.BOM_UTF8 + json.dumps(doc).encode())
+    assert Schema.from_json(p) == Schema.from_json(FIXTURES / "german_synth.schema.json")
+    for value, text in ((1, "1"), (0.5, "0.5"), ("good", "good")):
+        p.write_text(json.dumps({**doc, "favorable_value": value}))
+        assert Schema.from_json(p).favorable_value == text
+    latin1 = json.dumps({**doc, "favorable_value": "gööd"}, ensure_ascii=False).encode("latin-1")
+    p.write_bytes(latin1)
+    with pytest.raises(UsageError, match=f"^{re.escape(str(p))}: not a JSON file"):
+        Schema.from_json(p)
 
 
 def test_schema_validation():

@@ -19,6 +19,7 @@ from fairhome.runner import (
     wtl_matrix,
 )
 from fairhome.metrics import MetricReport
+from fairhome.model import TrainConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -141,6 +142,84 @@ def test_a_failed_lockstep_fit_fails_every_repetition_it_trained(tmp_path, monke
                                 else "FloatingPointError: descent diverged")
         assert record.model_fingerprint == "" and record.report is None
     assert result.fairea_cases == [] and extrapolated == []
+
+
+@pytest.mark.parametrize("train", [{"learning_rate": 1e300}, {"l2_penalty": 1e308}])
+def test_a_diverged_model_fails_its_cells(tmp_path, capsys, train):
+    """A model that descent leaves with a non-finite parameter fails every cell
+    it scores: exit 1, no Fairea case, and fairhome1's extrapolation models
+    are never fitted."""
+    import fairhome.runner
+
+    config = json.loads((FIXTURES.parent / "configs" / "german_logistic.json").read_text())
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        **config, "dataset_path": str(FIXTURES / "german_synth.csv"),
+        "schema_path": str(FIXTURES / "german_synth.schema.json"),
+        "train": {**train, "epochs": 3}}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(["run", "--config", str(config_path), "--reps", "1",
+                         "--out", str(out)]) == 1
+    rows = read_records_csv(out / "metrics.csv")
+    assert [row["method"] for row in rows] == config["methods"]
+    assert all(row["status"] == "failed" and row["error"] == "TrainingError: descent diverged"
+               for row in rows)
+    assert not (out / "fairea_regions.csv").exists()
+    assert capsys.readouterr().err.count("TrainingError: descent diverged") == len(rows)
+
+    extrapolated = []
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(fairhome.runner, "fit_extrapolation_models", extrapolated.append)
+        result = run_experiment(small_config(tmp_path, methods=("original", "fairhome1"),
+                                             train=TrainConfig(**train, epochs=3)))
+    assert {r.error for r in result.records} == {"TrainingError: descent diverged"}
+    assert extrapolated == [] and result.fairea_cases == []
+
+
+def test_a_diverged_rew_model_fails_the_rew_cells_alone(tmp_path, monkeypatch):
+    """A REW model with a non-finite parameter fails only the rew cells, which
+    carry no fingerprint; every other cell and Fairea case is unchanged."""
+    import fairhome.runner
+    from fairhome.model import fit_logistic
+
+    config = small_config(tmp_path, methods=("original", "fairhome", "rew"))
+    good = run_experiment(config)
+
+    def rew_diverges(trains, configs, weights):
+        results = fit_logistic(trains, configs, weights=weights)
+        for _, rew in results:
+            rew.weights[0] = np.nan
+        return results
+
+    monkeypatch.setattr(fairhome.runner, "fit_logistic", rew_diverges)
+    bad = run_experiment(config)
+    assert len(bad.records) == len(good.records) == 6
+    for before, after in zip(good.records, bad.records):
+        if after.method == "rew":
+            assert after.error == "TrainingError: descent diverged"
+            assert after.model_fingerprint == "" and after.report is None
+        else:
+            assert (after.error, after.model_fingerprint) == (None, before.model_fingerprint)
+            assert after.report.to_flat_dict() == before.report.to_flat_dict()
+    assert bad.fairea_cases == [c for c in good.fairea_cases if c.method != "rew"]
+
+
+def test_a_config_and_a_schema_with_a_byte_order_mark_run_like_the_plain_files(tmp_path):
+    schema = tmp_path / "schema.json"
+    schema.write_bytes(codecs.BOM_UTF8 + (FIXTURES / "german_synth.schema.json").read_bytes())
+    for name, bom, schema_path in (("plain", b"", FIXTURES / "german_synth.schema.json"),
+                                   ("bom", codecs.BOM_UTF8, schema)):
+        (tmp_path / f"{name}.json").write_bytes(bom + json.dumps({
+            "dataset_path": str(FIXTURES / "german_synth.csv"), "schema_path": str(schema_path),
+            "methods": ["original", "fairhome", "rew"], "repetitions": 1,
+            "fairea_reps": 2, "output_dir": str(tmp_path / name), "train": {"epochs": 2},
+        }).encode())
+        assert cli_main(["run", "--config", str(tmp_path / f"{name}.json")]) == 0
+    for table in ("metrics", "improvement", "win_tie_loss", "fairea_regions",
+                  "region_distribution"):
+        assert ((tmp_path / "bom" / f"{table}.csv").read_bytes()
+                == (tmp_path / "plain" / f"{table}.csv").read_bytes())
 
 
 def test_a_variant_that_fails_to_score_fails_its_own_cells_alone(tmp_path, monkeypatch):
@@ -442,14 +521,17 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
     """Bad Fairea settings, unknown or missing config keys, config values of
-    the wrong type or not finite, an empty or repeating method list, missing
-    data files and config files that are not a JSON object: exit 2 before loading any data. A schema file that is
-    not JSON, declares an unknown attribute kind, holds an attribute entry that
-    is not an object or a ``protected`` that is not a list of strings, and a
-    data file with an empty cell: exit 2 before training. An output directory
-    that names a file, lies under one or is empty: exit 2 before loading any
-    data. ``fairhome report`` on a missing file or an ``--out`` that names a file
-    or is empty (before reading any input), a regions file without a region column, with a repeated
+    the wrong type, not finite or past the float range, an empty or repeating
+    method list, missing data files and config files that are not a JSON
+    object: exit 2 before loading any data. A schema file that is not JSON,
+    declares an unknown attribute kind, holds an attribute entry that is not
+    an object or a ``protected`` that is not a list of strings, has an unknown
+    key at the top level or in an attribute entry, or a name, label column or
+    favorable value that is not a string, and a data file with an empty cell:
+    exit 2 before training. An output directory that names a file, lies under
+    one, is empty or is not a valid name: exit 2 before loading any data.
+    ``fairhome report`` on a missing file or such an ``--out`` (before reading
+    any input), a regions file without a region column, with a repeated
     column, a ragged row or a row whose region is not a trade-off region, a
     metrics file that is empty, without a task or method column, with a repeated
     column or a ragged row, or a metric value that is not a number in a cell
@@ -506,6 +588,8 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"train": {"learning_rate": float("inf")}}, "learning_rate must be positive and finite"),
         ({"train": {"l2_penalty": float("nan")}}, "l2_penalty must be non-negative and finite"),
         ({"train": {"l2_penalty": float("inf")}}, "l2_penalty must be non-negative and finite"),
+        ({"train": {"learning_rate": 10**400}}, "learning_rate must be positive and finite"),
+        ({"train": {"l2_penalty": 10**400}}, "l2_penalty must be non-negative and finite"),
         ({"test_fraction": float("nan")}, "test_fraction must be in (0, 1), got nan"),
         ({"test_fraction": float("inf")}, "test_fraction must be in (0, 1), got inf"),
         ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
@@ -530,9 +614,12 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     # config or from --out
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
+    # and a directory name that holds a NUL or a lone surrogate, or is too long
+    bad_names = [str(tmp_path / name) for name in ("a\x00b", "\ud800", "a" * 256)]
     for out, message in ((afile, f"{afile}: not a directory"),
                          (afile / "sub", f"{afile / 'sub'}: not a directory"),
-                         ("", "output directory path is empty")):
+                         ("", "output directory path is empty"),
+                         *((name, f"{name!r}: not a valid directory name") for name in bad_names)):
         for text, flags in ((json.dumps({**base, "output_dir": str(out)}), []),
                             (json.dumps(base), ["--out", str(out)])):
             config_path.write_text(text)
@@ -549,19 +636,33 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     config_path.write_text(json.dumps(
         {**base, "schema_path": str(schema_path), "dataset_path": str(data_path)}))
     schema = json.loads((FIXTURES / "german_synth.schema.json").read_text())
-    bad_kind = {**schema, "attributes": [{"name": "checking_status", "kind": "text"},
+
+    def with_first_attribute(**entry):
+        return {**schema, "attributes": [{**schema["attributes"][0], **entry},
                                          *schema["attributes"][1:]]}
+
     rows = (FIXTURES / "german_synth.csv").read_text().splitlines()
     empty_cell = [*rows[:2], "," + rows[2].split(",", 1)[1], *rows[3:]]
     for schema_text, data_rows, message in (
         ('{"attributes": ', rows, f"{schema_path}: not a JSON file"),
         ("[1, 2]", rows, f"{schema_path}: schema must be a JSON object, not list"),
-        (json.dumps(bad_kind), rows,
+        (json.dumps(with_first_attribute(kind="text")), rows,
          f"{schema_path}: unknown kind 'text' for attribute 'checking_status'"),
         (json.dumps({**schema, "attributes": [1]}), rows,
          f"{schema_path}: attributes must be a list of JSON objects"),
         (json.dumps({**schema, "protected": "ab"}), rows,
          f"{schema_path}: protected must be a list of strings"),
+        (json.dumps({**schema, "extra": 1}), rows,
+         f"{schema_path}: unknown schema key(s) ['extra']"),
+        (json.dumps(with_first_attribute(sex="M")), rows,
+         f"{schema_path}: unknown attribute key(s) ['sex']"),
+        (json.dumps(with_first_attribute(name=["a"])), rows,
+         f"{schema_path}: name must be str, got ['a']"),
+        (json.dumps(with_first_attribute(name=3)), rows, f"{schema_path}: name must be str, got 3"),
+        (json.dumps({**schema, "label_column": ["credit_risk"]}), rows,
+         f"{schema_path}: label_column must be str, got ['credit_risk']"),
+        (json.dumps({**schema, "favorable_value": None}), rows,
+         f"{schema_path}: favorable_value must be str, got None"),
         (json.dumps(schema), empty_cell,
          f"{data_path}: line 3: missing value for 'checking_status'"),
     ):
