@@ -8,7 +8,7 @@ import math
 import typing
 import warnings
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from numbers import Integral, Real
 
@@ -48,10 +48,13 @@ def check_keys(doc, cls, where: str) -> dict:
     return doc
 
 
+_type_hints = cache(typing.get_type_hints)  # resolved once per dataclass
+
+
 def check_field_types(obj) -> None:
     """UsageError naming the first field of the dataclass ``obj`` whose value
     does not have its annotated type; a bool passes only for a bool."""
-    for name, hint in typing.get_type_hints(type(obj)).items():
+    for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
         if typing.get_origin(hint) is tuple:  # tuple[T, ...]: a tuple or list of T
             item = typing.get_args(hint)[0]
@@ -252,8 +255,10 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     n = len(dataset)
     if n == 0:
         raise UsageError("cannot split an empty dataset")
-    order = np.random.default_rng(seed).permutation(n)
     n_test = int(n * test_fraction)
+    if n_test == 0:
+        raise UsageError(f"test_fraction {test_fraction} leaves no test rows out of {n}")
+    order = np.random.default_rng(seed).permutation(n)
     test_idx, train_idx = order[:n_test], order[n_test:]
 
     def take(idx):
@@ -426,7 +431,10 @@ def encode_matrix(instances, schema: Schema, encoding: EncodingMap) -> np.ndarra
         else:
             span = block.hi - block.lo
             if span != 0:
-                scaled = (np.array(column, dtype=float) - block.lo) / span
+                # a tiny span overflows to +-inf and one past the float range gives
+                # inf / inf = NaN; the clamp below maps both as encode's min/max do
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scaled = (np.array(column, dtype=float) - block.lo) / span
                 # encode's min(1.0, max(0.0, scaled)), comparison for comparison
                 out[:, pos] = np.where(scaled > 0.0, np.where(scaled < 1.0, scaled, 1.0), 0.0)
             pos += 1

@@ -4,8 +4,8 @@ The baseline is built by replacing growing random fractions of a model's
 predictions with the test-set majority class and recording how fairness and
 performance move; a mitigation method is then placed in one of five regions
 relative to the original model and this curve. All repetitions of one degree
-are scored together, as the rows of one prediction matrix, from the metrics'
-single counting table.
+are scored together, as the rows of one prediction matrix, into the metrics'
+single value matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .metrics import (
     PERFORMANCE_METRICS,
     LabeledPredictions,
     compute_report,
-    compute_reports,
+    metric_matrix,
 )
 
 DEFAULT_DEGREES = tuple(round(0.1 * k, 1) for k in range(11))
@@ -79,9 +79,9 @@ def mutation_curve(preds: LabeledPredictions, degrees, reps: int, seed: int) -> 
     """Mean flat metric dict per degree of majority-class prediction replacement.
 
     Each interior degree draws its ``reps`` replacement sets, in order, into the
-    rows of one (reps, N) prediction matrix scored by a single
-    ``compute_reports`` call; each metric is then summed over the rows in order
-    and divided by ``reps``.
+    rows of one (reps, N) prediction matrix scored by a single ``metric_matrix``
+    call; each metric's column is then summed over the rows in order and divided
+    by ``reps``.
     """
     degrees = check_curve_settings(degrees, reps)
     n = len(preds)
@@ -95,18 +95,14 @@ def mutation_curve(preds: LabeledPredictions, degrees, reps: int, seed: int) -> 
             # endpoint values exact instead of averaging float copies
             mutated = preds.y_pred.copy()
             mutated[:k] = majority
-            reports = [compute_report(preds.with_predictions(mutated))]
-        else:
-            mutated = np.tile(preds.y_pred, (reps, 1))
-            for row in mutated:
-                row[rng.choice(n, size=k, replace=False)] = majority
-            reports = compute_reports(preds, mutated)
-        acc: dict = {}
-        for report in reports:
-            for key, value in report.to_flat_dict().items():
-                if isinstance(value, float):
-                    acc[key] = acc.get(key, 0.0) + value
-        curve.append({key: total / len(reports) for key, total in acc.items()})
+            flat = compute_report(preds.with_predictions(mutated)).to_flat_dict()
+            curve.append({key: value for key, value in flat.items() if isinstance(value, float)})
+            continue
+        mutated = np.tile(preds.y_pred, (reps, 1))
+        for row in mutated:
+            row[rng.choice(n, size=k, replace=False)] = majority
+        names, values, _ = metric_matrix(preds, mutated)
+        curve.append(dict(zip(names, (np.add.reduce(values, axis=0) / reps).tolist())))
     return curve
 
 

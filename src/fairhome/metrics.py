@@ -1,10 +1,10 @@
 """Intersectional fairness metrics, single-attribute group fairness, and ML performance.
 
-Every value is derived from one table of (tn, fp, fn, tp) counts per prediction
-vector and group: each intersectional subgroup, then each group of every
-protected attribute. Group keys are factored into integer codes once per
-``LabeledPredictions``, in first-appearance order, and one offset
-``np.bincount`` fills the table for a whole (R, N) prediction matrix.
+Every value is derived from one (R, groups, 4) table of (tn, fp, fn, tp) counts
+per prediction vector and group (each intersectional subgroup, then each group of
+every protected attribute), each fairness metric as one array expression over its
+R rows. Group keys are factored into integer codes once per ``LabeledPredictions``,
+in first-appearance order, and one offset ``np.bincount`` fills the table.
 
 Worst-case metrics take the max-minus-min spread across subgroups; average-case
 metrics take the mean absolute deviation from the population rate. Subgroups
@@ -94,82 +94,80 @@ class LabeledPredictions:
         return len(self.y_true)
 
 
-def _counting_table(data: LabeledPredictions, y_pred: np.ndarray) -> list:
-    """Per prediction row: the subgroups' terms, each attribute's terms by name,
-    and the population's (tn, fp, fn, tp). Counts are Python ints, so every
-    rate is an exact int-by-int division."""
+def _counting_table(data: LabeledPredictions, y_pred: np.ndarray) -> tuple:
+    """The subgroups' terms, each attribute's terms by name, and the population's (R, 4)
+    counts, from one (R, groups, 4) table of (tn, fp, fn, tp) per prediction row and group."""
     groupings, codes = data.group_codes
     r, n_groups = len(y_pred), sum(map(len, groupings))
     cells = 2 * data.y_true + y_pred[:, None, :]
     index = (np.arange(r)[:, None, None] * n_groups + codes) * 4 + cells
     table = np.bincount(index.ravel(), minlength=r * n_groups * 4).reshape(r, n_groups, 4)
-    ends = np.cumsum([len(keys) for keys in groupings]).tolist()
-    out = []
-    for row, population in zip(table.tolist(), table[:, :ends[0]].sum(axis=1).tolist()):
-        terms = [_terms(keys, row[end - len(keys):end]) for keys, end in zip(groupings, ends)]
-        out.append((terms[0], dict(zip(data.single_group_of, terms[1:])), population))
-    return out
+    labels = np.bincount((2 * codes + data.y_true).ravel(), minlength=2 * n_groups).reshape(-1, 2)
+    edges = np.cumsum([0, *map(len, groupings)]).tolist()
+    terms = [_terms(keys, table[:, a:b], labels[a:b])
+             for keys, a, b in zip(groupings, edges, edges[1:])]
+    return terms[0], dict(zip(data.single_group_of, terms[1:])), table[:, :edges[1]].sum(axis=1)
 
 
-def _terms(keys, counts):
-    """Favorable rates of all groups, TPRs of groups with positive labels, (FPR, TPR)
-    of groups with both labels, and why any group was left out of a term."""
-    rates, tprs, fpr_tprs, exclusions = [], [], [], []
-    for key, (tn, fp, fn, tp) in zip(keys, counts):
-        label = key.label() if isinstance(key, SubgroupKey) else str(key)
-        rates.append((fp + tp) / (tn + fp + fn + tp))
-        if fn + tp == 0:
-            exclusions.append(f"{label}: no positive-label rows (TPR undefined)")
-            continue
-        tprs.append(tp / (fn + tp))
-        if tn + fp == 0:
-            exclusions.append(f"{label}: no negative-label rows (FPR undefined)")
-        else:
-            fpr_tprs.append((fp / (tn + fp), tp / (fn + tp)))
-    return rates, tprs, fpr_tprs, exclusions
+def _terms(keys, counts, labels):
+    """Favorable rates of all groups, TPRs of groups with positive labels, FPRs and TPRs
+    of groups with both labels, each an (R, groups) array of int64-by-int64 divisions,
+    and why any group was left out of a term, which the (negatives, positives) ``labels``
+    alone decide. Picked arrays are made C-contiguous, so a row's mean sums as a 1-D one."""
+    negatives, positives = labels.T
+    has_positive, has_both = positives > 0, (positives > 0) & (negatives > 0)
+    exclusions = [f"{key.label() if isinstance(key, SubgroupKey) else str(key)}: " + (
+        "no negative-label rows (FPR undefined)" if positive
+        else "no positive-label rows (TPR undefined)")
+        for key, positive, both in zip(keys, has_positive, has_both) if not both]
+    fp, tp = counts[..., 1], counts[..., 3]
+    return ((fp + tp) / labels.sum(axis=1),
+            np.ascontiguousarray(tp[:, has_positive]) / positives[has_positive],
+            np.ascontiguousarray(fp[:, has_both]) / negatives[has_both],
+            np.ascontiguousarray(tp[:, has_both]) / positives[has_both],
+            exclusions)
 
 
-def _spread(values) -> float:
-    return max(values) - min(values)
+def _spread(values):
+    return values.max(axis=1) - values.min(axis=1)
 
 
 def _worst_case(subgroups):
-    rates, tprs, fpr_tprs, exclusions = subgroups
-    if len(rates) < 2:
+    rates, tprs, fprs, both_tprs, exclusions = subgroups
+    if rates.shape[1] < 2:
         raise MetricUndefinedError("fewer than 2 subgroups with test rows", exclusions)
-    if len(tprs) < 2:
+    if tprs.shape[1] < 2:
         raise MetricUndefinedError("fewer than 2 subgroups eligible for TPR terms", exclusions)
-    if len(fpr_tprs) < 2:
+    if fprs.shape[1] < 2:
         raise MetricUndefinedError("fewer than 2 subgroups eligible for FPR terms", exclusions)
-    return _spread(rates), 0.5 * _spread([f + t for f, t in fpr_tprs]), _spread(tprs)
+    return np.column_stack([_spread(rates), 0.5 * _spread(fprs + both_tprs), _spread(tprs)])
 
 
 def _average_case(subgroups, population):
-    rates, tprs, fpr_tprs, exclusions = subgroups
-    tn, fp, fn, tp = population
-    if len(rates) < 1:
+    # with no positive (negative) labels at all, no group is eligible for TPR (FPR) terms
+    rates, tprs, fprs, both_tprs, exclusions = subgroups
+    if rates.shape[1] < 1:
         raise MetricUndefinedError("no subgroups with test rows", exclusions)
-    if fn + tp < 1 or len(tprs) < 1:
+    if tprs.shape[1] < 1:
         raise MetricUndefinedError("no positive-label rows for TPR terms", exclusions)
-    if tn + fp < 1 or len(fpr_tprs) < 1:
+    if fprs.shape[1] < 1:
         raise MetricUndefinedError("no negative-label rows for FPR terms", exclusions)
+    tn, fp, fn, tp = (column[:, None] for column in population.T)
     pop_rate, pop_tpr, pop_fpr = (fp + tp) / (tn + fp + fn + tp), tp / (fn + tp), fp / (tn + fp)
-    ac_spd = float(np.mean([abs(rate - pop_rate) for rate in rates]))
-    ac_aod = float(np.mean([
-        0.5 * (abs(fpr - pop_fpr) + abs(tpr - pop_tpr)) for fpr, tpr in fpr_tprs
-    ]))
-    ac_eod = float(np.mean([abs(tpr - pop_tpr) for tpr in tprs]))
-    return ac_spd, ac_aod, ac_eod
+    return np.column_stack([
+        np.abs(rates - pop_rate).mean(axis=1),
+        (0.5 * (np.abs(fprs - pop_fpr) + np.abs(both_tprs - pop_tpr))).mean(axis=1),
+        np.abs(tprs - pop_tpr).mean(axis=1)])
 
 
 def _group(attribute, groups):
-    rates, tprs, fpr_tprs, exclusions = groups
-    if len(rates) < 2 or len(tprs) < 2 or len(fpr_tprs) < 2:
+    # a group eligible for FPR terms has both labels, so it is eligible for every term
+    rates, tprs, fprs, both_tprs, exclusions = groups
+    if fprs.shape[1] < 2:
         raise MetricUndefinedError(
-            f"fewer than 2 eligible groups for attribute {attribute!r}", exclusions
-        )
-    aod = 0.5 * (_spread([f for f, _ in fpr_tprs]) + _spread([t for _, t in fpr_tprs]))
-    return _spread(rates), aod, _spread(tprs)
+            f"fewer than 2 eligible groups for attribute {attribute!r}", exclusions)
+    return np.column_stack([_spread(rates), 0.5 * (_spread(fprs) + _spread(both_tprs)),
+                            _spread(tprs)])
 
 
 def _performance(population):
@@ -177,7 +175,6 @@ def _performance(population):
     n = tn + fp + fn + tp
     if n == 0:
         raise UsageError("need at least one row")
-    accuracy = (tp + tn) / n
 
     def prf(tp_c, fp_c, fn_c):
         precision = tp_c / (tp_c + fp_c) if tp_c + fp_c > 0 else 0.0
@@ -187,28 +184,24 @@ def _performance(population):
 
     p1, r1, f1_1 = prf(tp, fp, fn)
     p0, r0, f1_0 = prf(tn, fn, fp)  # class 0: predicted-0 rows are its "positives"
-    macro_p = (p1 + p0) / 2
-    macro_r = (r1 + r0) / 2
-    macro_f1 = (f1_1 + f1_0) / 2
-
     denom = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
     mcc = 0.0 if denom == 0 else (tp * tn - fp * fn) / denom
-    return accuracy, macro_p, macro_r, macro_f1, mcc
+    return (tp + tn) / n, (p1 + p0) / 2, (r1 + r0) / 2, (f1_1 + f1_0) / 2, mcc
 
 
 def _own_predictions(data: LabeledPredictions):
-    return _counting_table(data, data.y_pred[np.newaxis])[0]
+    return _counting_table(data, data.y_pred[np.newaxis])
 
 
 def worst_case_metrics(data: LabeledPredictions):
     """Max-minus-min of favorable rate, FPR+TPR average, and TPR across subgroups."""
-    return _worst_case(_own_predictions(data)[0])
+    return tuple(_worst_case(_own_predictions(data)[0])[0].tolist())
 
 
 def average_case_metrics(data: LabeledPredictions):
     """Mean absolute deviation of each subgroup's rates from the population's."""
     subgroups, _, population = _own_predictions(data)
-    return _average_case(subgroups, population)
+    return tuple(_average_case(subgroups, population)[0].tolist())
 
 
 def group_metrics(data: LabeledPredictions, attribute: str):
@@ -219,12 +212,12 @@ def group_metrics(data: LabeledPredictions, attribute: str):
     """
     if attribute not in data.single_group_of:
         raise UsageError(f"{attribute!r} is not a protected attribute of this data")
-    return _group(attribute, _own_predictions(data)[1][attribute])
+    return tuple(_group(attribute, _own_predictions(data)[1][attribute])[0].tolist())
 
 
 def performance_metrics(data: LabeledPredictions):
     """Accuracy, macro precision/recall/F1 over both classes, and MCC."""
-    return _performance(_own_predictions(data)[2])
+    return _performance(_own_predictions(data)[2][0].tolist())
 
 
 @dataclass
@@ -254,24 +247,34 @@ class MetricReport:
         return out
 
 
-def _report(subgroups, per_attribute, population) -> MetricReport:
-    # arguments evaluate left to right: the first undefined metric is the one reported
-    return MetricReport(
-        *_worst_case(subgroups), *_average_case(subgroups, population), *_performance(population),
-        per_attribute={attr: dict(zip(("spd", "aod", "eod"), _group(attr, terms)))
-                       for attr, terms in per_attribute.items()},
-        excluded_subgroups=tuple(subgroups[3]),
-    )
-
-
-def compute_reports(data: LabeledPredictions, y_pred) -> list:
-    """One report per row of an (R, N) 0/1 matrix, each row scored in place of
-    ``data.y_pred`` against ``data``'s labels and groups, from one counting table."""
+def metric_matrix(data: LabeledPredictions, y_pred) -> tuple:
+    """Each row of an (R, N) 0/1 matrix scored in place of ``data.y_pred``: the flat
+    metric names (``to_flat_dict``'s but ``excluded_subgroups``), an (R, metrics)
+    matrix of their values, and the excluded subgroups, which every row shares."""
     y_pred = np.asarray(y_pred, dtype=int)
     if y_pred.ndim != 2 or y_pred.shape[1] != len(data):
         raise UsageError(f"prediction matrix must have shape (R, {len(data)}), got {y_pred.shape}")
     _check_binary(y_pred)
-    return [_report(*row) for row in _counting_table(data, y_pred)]
+    subgroups, per_attribute, population = _counting_table(data, y_pred)
+    names = [*FAIRNESS_METRICS, *PERFORMANCE_METRICS,
+             *(f"{metric}_{attr}" for attr in per_attribute for metric in ("spd", "aod", "eod"))]
+    # in order, so the first undefined metric raises; Python ints keep MCC from overflowing
+    values = np.hstack([
+        _worst_case(subgroups), _average_case(subgroups, population),
+        np.array([_performance(row) for row in population.tolist()]).reshape(-1, 5),
+        *(_group(attr, terms) for attr, terms in per_attribute.items())])
+    return names, values, tuple(subgroups[-1])
+
+
+def compute_reports(data: LabeledPredictions, y_pred) -> list:
+    """One report per row of an (R, N) 0/1 matrix, each row scored in place of
+    ``data.y_pred`` against ``data``'s labels and groups, from one metric matrix."""
+    names, values, excluded = metric_matrix(data, y_pred)
+    core = len(FAIRNESS_METRICS + PERFORMANCE_METRICS)
+    return [MetricReport(*row[:core], excluded_subgroups=excluded, per_attribute={
+        attr: dict(zip(("spd", "aod", "eod"), row[start:start + 3]))
+        for attr, start in zip(data.single_group_of, range(core, len(names), 3))})
+        for row in values.tolist()]
 
 
 def compute_report(data: LabeledPredictions) -> MetricReport:

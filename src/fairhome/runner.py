@@ -70,7 +70,7 @@ class ExperimentConfig:
     dataset_path: str
     schema_path: str
     model_kind: str = "logistic"
-    methods: tuple = ("original", "fairhome")
+    methods: tuple[str, ...] = ("original", "fairhome")
     repetitions: int = 5
     test_fraction: float = 0.3
     base_seed: int = 0

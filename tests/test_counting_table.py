@@ -10,15 +10,16 @@ that scores one repetition at a time.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhome.data import SubgroupKey
+from fairhome.data import Schema, SubgroupKey, load_dataset, split
 from fairhome.errors import MetricUndefinedError, UsageError
-from fairhome.fairea import majority_class, mutation_curve
+from fairhome.fairea import DEFAULT_DEGREES, majority_class, mutation_curve
 from fairhome.metrics import (
     LabeledPredictions,
     MetricReport,
@@ -33,6 +34,7 @@ from fairhome.metrics import (
 import oracle
 
 PROPERTY = settings(deadline=None, max_examples=200)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---- slow reference: one dict of counters per group key, filled row by row ----
@@ -263,6 +265,22 @@ def test_batched_curve_equals_per_rep_loop(preds, interior, reps, seed):
     reference = per_rep_curve(preds, degrees, reps, seed)
     assert [list(point.items()) for point in batched] == \
            [list(point.items()) for point in reference]
+
+
+def test_pairwise_summed_terms_equal_references_exactly():
+    """Compas's 8 subgroups all enter every term, so numpy sums each row's terms
+    pairwise; a row's mean equals the 1-D mean of its values only if the term
+    arrays are C-contiguous, which random draws seldom catch."""
+    schema = Schema.from_json(FIXTURES / "compas_synth.schema.json")
+    _, test = split(load_dataset(FIXTURES / "compas_synth.csv", schema), 0.3, seed=42)
+    preds = LabeledPredictions.from_dataset(test, np.random.default_rng(0).integers(0, 2, len(test)))
+    _, tprs, fpr_tprs, _ = _eligibility(_counts_by(preds.subgroup_of, preds.y_true, preds.y_pred))
+    assert len(fpr_tprs) == len(tprs) == 8
+    matrix = np.random.default_rng(1).integers(0, 2, (30, len(preds)))
+    assert outcome(compute_reports, preds, matrix) == [
+        outcome(slow_report, preds.with_predictions(row)) for row in matrix]
+    assert [list(point.items()) for point in mutation_curve(preds, DEFAULT_DEGREES, 10, 0)] == \
+           [list(point.items()) for point in per_rep_curve(preds, DEFAULT_DEGREES, 10, 0)]
 
 
 def test_copies_share_group_codes_and_matrices_are_checked():

@@ -238,6 +238,8 @@ def test_split_sizes_and_determinism(two_protected_schema, rng):
 
     with pytest.raises(UsageError):
         split(ds, 1.5, seed=0)
+    with pytest.raises(UsageError, match=r"test_fraction 0.09 leaves no test rows out of 10"):
+        split(ds, 0.09, seed=0)
 
 
 def test_split_different_seeds_differ(two_protected_schema, rng):
@@ -365,9 +367,20 @@ def _signed_zero_case():
     return schema, encoding, [Instance(("a", -0.0)), Instance(("c", True)), Instance(("b", 9))]
 
 
+def _overflow_case():
+    """Scaling x = +-1e6 by a span of 5e-324 overflows to +-inf, and a span past the
+    float range gives inf / inf = NaN; both clamp, as in encode, without a warning."""
+    schema = make_schema(protected=("p",), extra=(("x", "numeric"), ("z", "numeric")))
+    train = [("a", 0.0, -1.7e308), ("b", 5e-324, 1.7e308)]
+    encoding = build_encoding(Dataset(schema=schema, rows=train, labels=[]))
+    return schema, encoding, [Instance(("a", 1e6, 1.7e308)), Instance(("c", -1e6, -1.7e308))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None)
 @given(encoding_cases())
 @example(_signed_zero_case())
+@example(_overflow_case())
 def test_encode_matrix_equals_stacked_encode_rows(case):
     schema, encoding, probes = case
     X = encode_matrix(probes, schema, encoding)

@@ -576,7 +576,8 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"repetitions": "2"}, "repetitions must be int, got '2'"),
         ({"repetitions": True}, "repetitions must be int, got True"),
         ({"paper_arch": 1}, "paper_arch must be bool, got 1"),
-        ({"methods": "fairhome"}, "methods must be tuple, got 'fairhome'"),
+        ({"methods": "fairhome"}, "methods must be a list of strings, got 'fairhome'"),
+        ({"methods": [[]]}, "methods must be a list of strings, got [[]]"),
         ({"methods": []}, "methods must name at least one method"),
         ({"methods": ["original", "original", "fairhome"]},
          "methods must not repeat, got ['original'] more than once"),
@@ -669,6 +670,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         schema_path.write_text(schema_text)
         data_path.write_text("\n".join(data_rows))
         run_exits_2(f"fairhome: error: {message}")
+    # a test fraction that leaves no test rows, which the data's row count shows
+    config_path.write_text(json.dumps({**base, "test_fraction": 1e-300}))
+    run_exits_2("fairhome: error: test_fraction 1e-300 leaves no test rows out of 1000")
     for args in (["--records", missing],
                  ["--records", str(FIXTURES / "german_synth.csv"), "--regions", missing]):
         assert cli_main(["report", *args, "--out", str(tmp_path / "out")]) == 2
