@@ -24,6 +24,7 @@ from .runner import (
 
 
 def cmd_run(args) -> int:
+    require_files(args.config)
     config = ExperimentConfig.from_json(
         args.config,
         base_seed=args.seed,

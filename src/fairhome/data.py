@@ -280,7 +280,6 @@ class ProtectedDomains:
     """
 
     schema: Schema
-    per_attribute: dict
     joint_combos: tuple
 
     def combo_of(self, instance: Instance) -> tuple:
@@ -292,18 +291,15 @@ def protected_domains(train: Dataset) -> ProtectedDomains:
         raise UsageError("cannot extract protected domains from an empty dataset")
     schema = train.schema
     idx = schema.protected_indices
-    per_attribute = {}
-    for name, i in zip(schema.protected, idx):
-        values = tuple(sorted({row[i] for row in train.rows}))
-        if len(values) == 1:
+    combos = tuple(sorted({tuple(row[i] for i in idx) for row in train.rows}))
+    for name, values in zip(schema.protected, zip(*combos)):
+        if len(set(values)) == 1:
             warnings.warn(
                 f"protected attribute {name!r} has a single observed value; "
                 "no mutation is possible along it",
                 stacklevel=2,
             )
-        per_attribute[name] = values
-    combos = tuple(sorted({tuple(row[i] for i in idx) for row in train.rows}))
-    return ProtectedDomains(schema=schema, per_attribute=per_attribute, joint_combos=combos)
+    return ProtectedDomains(schema=schema, joint_combos=combos)
 
 
 @dataclass(frozen=True)

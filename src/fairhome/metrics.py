@@ -26,10 +26,16 @@ FAIRNESS_METRICS = ("wc_spd", "wc_aod", "wc_eod", "ac_spd", "ac_aod", "ac_eod")
 PERFORMANCE_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "mcc")
 
 
-def _check_binary(arr) -> None:
-    bad = set(np.unique(arr)) - {0, 1}
-    if bad:
-        raise UsageError(f"labels must be 0/1, found {sorted(bad)}")
+def _binary(values) -> np.ndarray:
+    """``values`` as an int array; UsageError unless each is a number (bool, int or
+    float) exactly equal to 0 or 1, so the cast truncates nothing."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise UsageError(f"labels must be 0/1 numbers, got {arr.dtype} values")
+    inside = (arr == 0) | (arr == 1)
+    if not inside.all():
+        raise UsageError(f"labels must be 0/1, found {np.unique(arr[~inside]).tolist()}")
+    return arr.astype(int, copy=False)
 
 
 @dataclass
@@ -42,16 +48,13 @@ class LabeledPredictions:
     single_group_of: dict
 
     def __post_init__(self):
-        self.y_true = np.asarray(self.y_true, dtype=int)
-        self.y_pred = np.asarray(self.y_pred, dtype=int)
+        self.y_true, self.y_pred = _binary(self.y_true), _binary(self.y_pred)
         n = len(self.y_true)
         if len(self.y_pred) != n or len(self.subgroup_of) != n:
             raise UsageError("y_true, y_pred, and subgroup_of must have equal lengths")
         for attr, groups in self.single_group_of.items():
             if len(groups) != n:
                 raise UsageError(f"group list for {attr!r} has wrong length")
-        for arr in (self.y_true, self.y_pred):
-            _check_binary(arr)
         self._codes = None
 
     @classmethod
@@ -251,10 +254,9 @@ def metric_matrix(data: LabeledPredictions, y_pred) -> tuple:
     """Each row of an (R, N) 0/1 matrix scored in place of ``data.y_pred``: the flat
     metric names (``to_flat_dict``'s but ``excluded_subgroups``), an (R, metrics)
     matrix of their values, and the excluded subgroups, which every row shares."""
-    y_pred = np.asarray(y_pred, dtype=int)
+    y_pred = _binary(y_pred)
     if y_pred.ndim != 2 or y_pred.shape[1] != len(data):
         raise UsageError(f"prediction matrix must have shape (R, {len(data)}), got {y_pred.shape}")
-    _check_binary(y_pred)
     subgroups, per_attribute, population = _counting_table(data, y_pred)
     names = [*FAIRNESS_METRICS, *PERFORMANCE_METRICS,
              *(f"{metric}_{attr}" for attr in per_attribute for metric in ("spd", "aod", "eod"))]

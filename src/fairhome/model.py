@@ -26,7 +26,6 @@ from .data import (
     Dataset,
     EncodingMap,
     Instance,
-    ProtectedDomains,
     Schema,
     build_encoding,
     check_field_types,
@@ -375,7 +374,7 @@ def favorable(p):
     return (np.asarray(p) >= 0.5).astype(int)
 
 
-def reweighting_weights(train: Dataset, domains: ProtectedDomains) -> np.ndarray:
+def reweighting_weights(train: Dataset) -> np.ndarray:
     """Per-row weights (N_s * N_y) / (N * N_sy) equalizing (subgroup, label) mass.
     The counts are exact, so int64 true division rounds as Python's ``int / int``."""
     idx, codes = train.schema.protected_indices, {}

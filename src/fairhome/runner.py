@@ -11,9 +11,11 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 import warnings
@@ -121,16 +123,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
+        """The config in the file ``path``, then the ``overrides`` that are not None;
+        an error from a file value names the path, one from an override does not."""
         raw = read_json(path)
         try:
             check_keys(raw, cls, "config")
             train = check_keys(raw.pop("train", {}), TrainConfig, "train")
             if "seed" in train:
                 raise UsageError("train key 'seed' is set by each repetition, not by the config")
+            config = cls(**raw, train=TrainConfig(**train))
         except UsageError as e:
             raise UsageError(f"{path}: {e}") from None
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**raw, train=TrainConfig(**train))
+        return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 @dataclass
@@ -268,7 +272,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # weights are checked first, so that bad weights fail its cells alone
         if "rew" in config.methods:
             try:
-                weights[-1].append(check_weights(reweighting_weights(train, rep.domains)))
+                weights[-1].append(check_weights(reweighting_weights(train)))
             except Exception as e:
                 rep.needs["rew"] = e
 
@@ -511,7 +515,7 @@ def read_records_csv(path) -> list:
     """Load a metrics.csv back into row dicts (numbers parsed where possible).
 
     ``read_table`` checks the file and its ``task`` and ``method`` columns;
-    UsageError when a cell that ran holds a metric value that is not a number.
+    UsageError when a cell that ran holds a metric value that is not a finite number.
     """
     text = {*RECORD_HEAD, "excluded_subgroups"} - {"repetition", "seed"}
     lines = read_table(path, required=("task", "method"))
@@ -521,11 +525,12 @@ def read_records_csv(path) -> list:
         row = dict(zip(header, cells))
         ran = row.get("status", "ok") == "ok"
         for k, v in row.items():
-            try:
-                row[k] = v if k in text else float(v)
-            except ValueError:
-                if ran and k in FAIRNESS_METRICS + PERFORMANCE_METRICS:
-                    raise UsageError(f"{where}: {k} must be a number, got {v!r}") from None
+            if k not in text:
+                with contextlib.suppress(ValueError):
+                    row[k] = float(v)
+            if (ran and k in FAIRNESS_METRICS + PERFORMANCE_METRICS
+                    and not (isinstance(row[k], float) and math.isfinite(row[k]))):
+                raise UsageError(f"{where}: {k} must be a finite number, got {v!r}")
         rows.append(row)
     return rows
 

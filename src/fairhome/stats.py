@@ -30,19 +30,6 @@ class WtlOutcome:
     direction: str  # which sample had the lower median: "first", "second", or "none"
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1  # average of ranks i+1 .. j+1
-        i = j + 1
-    return ranks
-
-
 def _exact_p(rank_sum_a: float, n_a: int, n_b: int) -> float:
     n = n_a + n_b
     u_a = rank_sum_a - n_a * (n_a + 1) / 2
@@ -56,10 +43,10 @@ def _exact_p(rank_sum_a: float, n_a: int, n_b: int) -> float:
     return min(1.0, 2 * count / total)
 
 
-def _normal_p(u_a: float, n_a: int, n_b: int, pooled: np.ndarray) -> float:
+def _normal_p(u_a: float, n_a: int, n_b: int, tie_counts: np.ndarray) -> float:
+    """``tie_counts``: how many pooled values share each distinct value."""
     n = n_a + n_b
     mu = n_a * n_b / 2
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
     var = n_a * n_b / 12 * ((n + 1) - tie_term)
     if var <= 0:
@@ -77,15 +64,19 @@ def mann_whitney_u(sample_a, sample_b):
     if len(a) == 0 or len(b) == 0:
         raise UsageError("both samples must be non-empty")
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    if np.isnan(pooled).any():  # NaN has no rank
+        raise UsageError("samples must not hold NaN")
+    # one tie table: each distinct value's count, and each pooled value's position
+    # among them; a value's midrank is the mean of ranks cumsum - count + 1 .. cumsum
+    _, position, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[position]
     rank_sum_a = float(ranks[: len(a)].sum())
     u_a = rank_sum_a - len(a) * (len(a) + 1) / 2
 
-    has_ties = len(np.unique(pooled)) < len(pooled)
-    if not has_ties and len(pooled) <= EXACT_LIMIT:
+    if len(counts) == len(pooled) and len(pooled) <= EXACT_LIMIT:
         p = _exact_p(rank_sum_a, len(a), len(b))
     else:
-        p = _normal_p(u_a, len(a), len(b), pooled)
+        p = _normal_p(u_a, len(a), len(b), counts)
     return u_a, p
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +256,7 @@ def test_protected_domains_counts(two_protected_schema):
             ("M", "N", 1.0, "a"), ("F", "N", 1.0, "a")]
     ds = make_dataset(two_protected_schema, rows, [1, 0, 1, 0])
     dom = protected_domains(ds)
-    assert dom.per_attribute == {"sex": ("F", "M"), "race": ("N", "W")}
+    assert [set(values) for values in zip(*dom.joint_combos)] == [{"F", "M"}, {"N", "W"}]
     assert len(dom.joint_combos) == 4
 
     # unobserved combo shrinks the joint set below the Cartesian size
@@ -269,6 +270,14 @@ def test_protected_domains_single_value_warns(two_protected_schema):
     ds = make_dataset(two_protected_schema, rows, [1, 0])
     with pytest.warns(UserWarning, match="single observed value"):
         protected_domains(ds)
+    # one warning per single-valued attribute, in the schema's order
+    ds = make_dataset(two_protected_schema, rows[:1] * 3, [1, 0, 1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        protected_domains(ds)
+    assert [str(w.message) for w in caught] == [
+        f"protected attribute {name!r} has a single observed value; "
+        "no mutation is possible along it" for name in ("sex", "race")]
 
 
 def test_joint_combos_in_lexicographic_order(two_protected_schema):
@@ -299,10 +308,11 @@ def test_domains_reconstruction_property(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             dom = protected_domains(ds)
-        assert set(dom.per_attribute["p1"]) == {r[0] for r in rows}
-        assert set(dom.per_attribute["p2"]) == {r[1] for r in rows}
+        p1, p2 = (set(values) for values in zip(*dom.joint_combos))
+        assert p1 == {r[0] for r in rows}
+        assert p2 == {r[1] for r in rows}
         assert set(dom.joint_combos) == {(r[0], r[1]) for r in rows}
-        assert len(dom.joint_combos) <= len(dom.per_attribute["p1"]) * len(dom.per_attribute["p2"])
+        assert len(dom.joint_combos) <= len(p1) * len(p2)
 
 
 def test_encode_one_hot_and_scaling(two_protected_schema):

@@ -8,6 +8,7 @@ from fairhome.metrics import (
     average_case_metrics,
     compute_report,
     group_metrics,
+    metric_matrix,
     performance_metrics,
     worst_case_metrics,
 )
@@ -210,3 +211,24 @@ def test_report_flat_dict_shape(rng):
     for metric in ("wc_spd", "wc_aod", "wc_eod", "ac_spd", "ac_aod", "ac_eod"):
         assert 0.0 <= flat[metric] <= 1.0
     assert -1.0 <= flat["mcc"] <= 1.0
+
+
+def test_zero_one_values_are_checked_before_the_int_cast():
+    groups = {"g": ["a", "a", "b", "b"]}
+    for y_true, y_pred, found in (([0.5, 1, 0, 1], [0, 1, 1, 0], "[0.5]"),
+                                  ([0, 1, 0, 1], [0, 1, 2, 0], "[2]"),
+                                  ([float("nan"), 1, 0, 1], [0, 1, 1, 0], "[nan]")):
+        with pytest.raises(UsageError, match=rf"labels must be 0/1, found \{found}"):
+            LabeledPredictions.from_columns(y_true, y_pred, groups)
+    with pytest.raises(UsageError, match="labels must be 0/1 numbers, got <U1 values"):
+        LabeledPredictions.from_columns(["0", "1", "0", "1"], [0, 1, 1, 0], groups)
+    data = LabeledPredictions.from_columns([0, 1, 0, 1], [0, 1, 1, 0], groups)
+    with pytest.raises(UsageError, match=r"labels must be 0/1, found \[0.7\]"):
+        metric_matrix(data, [[0, 1, 1, 0], [0.7, 1, 1, 0]])
+    # bools and the floats 0.0 and 1.0 are 0/1 numbers, read as the ints
+    want = metric_matrix(data, [[0, 1, 1, 0]])[1]
+    for y_true, y_pred in (([False, True, False, True], [[False, True, True, False]]),
+                           ([0.0, 1.0, 0.0, 1.0], [[0.0, 1.0, 1.0, 0.0]])):
+        same = LabeledPredictions.from_columns(y_true, y_pred[0], groups)
+        assert same.y_true.tolist() == [0, 1, 0, 1] and same.y_pred.tolist() == [0, 1, 1, 0]
+        assert metric_matrix(same, y_pred)[1].tolist() == want.tolist()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhome.data import Instance, build_encoding, encode_matrix, protected_domains
+from fairhome.data import Instance, build_encoding, encode_matrix
 from fairhome.errors import ShapeError, TrainingError, UsageError
 from fairhome.model import (
     LogisticModel,
@@ -224,7 +224,7 @@ def test_reweighting_hand_example():
     schema = make_schema(protected=("g",), extra=(("x", "numeric"),))
     rows = [("A", 1.0), ("A", 2.0), ("B", 3.0), ("B", 4.0)]
     ds = make_dataset(schema, rows, [1, 1, 0, 0])
-    w = reweighting_weights(ds, protected_domains(ds))
+    w = reweighting_weights(ds)
     # (N_A * N_1) / (N * N_A1) = (2*2)/(4*2) = 0.5, same for (B, 0)
     assert np.allclose(w, [0.5, 0.5, 0.5, 0.5])
 
@@ -237,7 +237,7 @@ def test_reweighting_independence_gives_unit_weights():
             rows.append((g, 1.0))
             labels.append(y)
     ds = make_dataset(schema, rows, labels)
-    assert np.allclose(reweighting_weights(ds, protected_domains(ds)), 1.0)
+    assert np.allclose(reweighting_weights(ds), 1.0)
 
 
 def test_reweighting_balances_cell_mass(rng):
@@ -246,7 +246,7 @@ def test_reweighting_balances_cell_mass(rng):
     rows = [(str(rng.choice(["a", "b"])), str(rng.choice(["c", "d"])), 0.0) for _ in range(n)]
     labels = [int(rng.random() < 0.6) for _ in range(n)]
     ds = make_dataset(schema, rows, labels)
-    w = reweighting_weights(ds, protected_domains(ds))
+    w = reweighting_weights(ds)
     # weighted mass of each (subgroup, label) cell equals N_s*N_y/N exactly
     cells = {}
     for row, y, wi in zip(rows, labels, w):
@@ -261,7 +261,7 @@ def test_reweighting_balances_cell_mass(rng):
 
     # doubling every row leaves weights unchanged
     ds2 = make_dataset(schema, rows + rows, labels + labels)
-    w2 = reweighting_weights(ds2, protected_domains(ds2))
+    w2 = reweighting_weights(ds2)
     assert np.allclose(w2[:n], w)
 
 
@@ -297,11 +297,10 @@ def reweighting_cases(draw):
     return make_dataset(schema, rows, [draw(label) for _ in range(n)])
 
 
-@pytest.mark.filterwarnings("ignore:protected attribute .* single observed value")
 @settings(max_examples=200, deadline=None)
 @given(reweighting_cases())
 def test_reweighting_equals_the_dict_reference_bit_for_bit(train):
-    got = reweighting_weights(train, protected_domains(train))
+    got = reweighting_weights(train)
     want = reference_reweighting_weights(train)
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()

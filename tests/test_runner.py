@@ -1,5 +1,7 @@
 import codecs
 import json
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -66,7 +68,7 @@ def test_bad_rew_weights_fail_the_rew_cells_alone(tmp_path, monkeypatch):
     config = small_config(tmp_path, methods=("original", "fairhome", "rew"))
     good = run_experiment(config)
     monkeypatch.setattr(fairhome.runner, "reweighting_weights",
-                        lambda train, domains: np.zeros(len(train)))
+                        lambda train: np.zeros(len(train)))
     bad = run_experiment(config)
     assert len(bad.records) == len(good.records) == 6
     for before, after in zip(good.records, bad.records):
@@ -131,7 +133,7 @@ def test_a_failed_lockstep_fit_fails_every_repetition_it_trained(tmp_path, monke
     monkeypatch.setattr(fairhome.runner, "fit_logistic", diverging_fit)
     monkeypatch.setattr(fairhome.runner, "fit_extrapolation_models", extrapolated.append)
     monkeypatch.setattr(fairhome.runner, "reweighting_weights",
-                        lambda train, domains: np.zeros(len(train)))
+                        lambda train: np.zeros(len(train)))
     methods = ("original", "fairhome", "fairhome1", "rew")
     result = run_experiment(small_config(tmp_path, methods=methods, repetitions=3))
     assert [(r.repetition, r.method) for r in result.records] == [
@@ -522,21 +524,22 @@ def test_bad_fairea_settings_rejected_by_config(tmp_path, fairea):
 def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monkeypatch):
     """Bad Fairea settings, unknown or missing config keys, config values of
     the wrong type, not finite or past the float range, an empty or repeating
-    method list, missing data files and config files that are not a JSON
-    object: exit 2 before loading any data. A schema file that is not JSON,
-    declares an unknown attribute kind, holds an attribute entry that is not
-    an object or a ``protected`` that is not a list of strings, has an unknown
-    key at the top level or in an attribute entry, or a name, label column or
-    favorable value that is not a string, and a data file with an empty cell:
-    exit 2 before training. An output directory that names a file, lies under
-    one, is empty or is not a valid name: exit 2 before loading any data.
+    method list, missing data files and config files that are missing, not a
+    regular file or not a JSON object: exit 2 before loading any data. A
+    schema file that is not JSON, declares an unknown attribute kind, holds an
+    attribute entry that is not an object or a ``protected`` that is not a
+    list of strings, has an unknown key at the top level or in an attribute
+    entry, or a name, label column or favorable value that is not a string,
+    and a data file with an empty cell: exit 2 before training. An output
+    directory that names a file, lies under one, is empty or is not a valid
+    name: exit 2 before loading any data.
     ``fairhome report`` on a missing file or such an ``--out`` (before reading
     any input), a regions file without a region column, with a repeated
     column, a ragged row or a row whose region is not a trade-off region, a
     metrics file that is empty, without a task or method column, with a repeated
-    column or a ragged row, or a metric value that is not a number in a cell
-    that ran: exit 2 before writing anything. ``fairhome metrics`` on a missing
-    file: exit 2."""
+    column or a ragged row, or a metric value that is not a finite number in a
+    cell that ran: exit 2 before writing anything. ``fairhome metrics`` on a
+    missing file: exit 2."""
     import fairhome.runner
     from fairhome.data import load_dataset
 
@@ -609,8 +612,28 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     for text, message in cases:
         config_path.write_text(text)
         run_exits_2(message)
-    assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
-    assert f"{tmp_path / 'none.json'}: No such file" in capsys.readouterr().err
+    # an error from a file value names the config file, and an override does not
+    # rescue that value; an error from an override names no file
+    config_path.write_text(json.dumps({**base, "repetitions": "2"}))
+    assert cli_main(["run", "--config", str(config_path), "--reps", "2"]) == 2
+    assert capsys.readouterr().err.startswith(f"fairhome: error: {config_path}: repetitions")
+    config_path.write_text(json.dumps(base))
+    assert cli_main(["run", "--config", str(config_path), "--reps", "0"]) == 2
+    assert capsys.readouterr() == ("", "fairhome: error: repetitions must be >= 1\n")
+    none = tmp_path / "none.json"
+    assert cli_main(["run", "--config", str(none)]) == 2
+    assert capsys.readouterr() == ("", f"fairhome: error: no such file: {none}\n")
+    # a config that is a FIFO is not a file, and is not opened: a writer thread
+    # would let an open go on, so that the run fails this test rather than hangs
+    fifo = tmp_path / "config.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(json.dumps(base),))
+    writer.start()
+    assert cli_main(["run", "--config", str(fifo)]) == 2
+    assert capsys.readouterr() == ("", f"fairhome: error: no such file: {fifo}\n")
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer finish
+    writer.join()
+    os.close(reader)
     # an output directory that is a file, lies under one or is empty, in the
     # config or from --out
     afile = tmp_path / "afile"
@@ -718,9 +741,11 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ("task,wc_spd\nt,0.1\n", "header lacks column(s) ['method']"),
         ("wc_spd\n0.1\n", "header lacks column(s) ['task', 'method']"),
         ("task,method,wc_spd\nt,fairhome,0.1\nt,fairhome,abc\n",
-         "line 3: wc_spd must be a number, got 'abc'"),
+         "line 3: wc_spd must be a finite number, got 'abc'"),
         ("task,method,status,mcc\nt,rew,failed,\nt,fairhome,ok,\n",
-         "line 3: mcc must be a number, got ''"),
+         "line 3: mcc must be a finite number, got ''"),
+        *((f"task,method,wc_spd\nt,fairhome,0.1\nt,fairhome,{v}\n",
+           f"line 3: wc_spd must be a finite number, got '{v}'") for v in ("nan", "inf", "-inf")),
     ):
         records.write_text(text)
         assert cli_main(["report", "--records", str(records),
@@ -772,7 +797,7 @@ def test_report_rebuilds_tables_of_a_run_with_failed_cells(tmp_path, monkeypatch
     import fairhome.runner
 
     monkeypatch.setattr(fairhome.runner, "reweighting_weights",
-                        lambda train, domains: np.zeros(len(train)))
+                        lambda train: np.zeros(len(train)))
     assert run_cli(tmp_path, ("original", "fairhome", "fairhome2", "rew")) == 1
     run = tmp_path / "run"
     assert "failed" in (run / "metrics.csv").read_text()
