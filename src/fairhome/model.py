@@ -1,16 +1,14 @@
 """Trainable classifiers (logistic regression, feed-forward net) and reweighting.
 
 Logistic regression is trained as the feed-forward net with no hidden layer,
-started at zero. Both models are trained by one seeded mini-batch gradient
-descent on weighted cross-entropy with an L2 penalty on weights (not biases),
-so training is deterministic given (data, config). A fit takes its per-row
-sample weights as one ``weights`` sequence and trains one model per entry in
-lockstep; given a sequence of datasets (with one config and one ``weights``
-entry each), it trains those of equal shape in lockstep too. The runner trains
-every repetition's model and its REW model in one call. Each model's
-parameters are bit-identical to a separate fit. A training step computes
-gradients only (``mlp_grad``); ``mlp_loss_grad`` adds the loss to the same
-gradients, and ``logistic_loss_grad`` is its no-hidden-layer case, for
+started at zero. Both are trained by one seeded mini-batch gradient descent on
+weighted cross-entropy with an L2 penalty on weights (not biases), so training
+is deterministic given (data, config). Each model a fit trains is one parameter
+set: a dataset's rows, labels and seed, and one per-row weight vector. A fit
+trains the sets of alike datasets in lockstep, each bit-identical to a separate
+fit; the runner trains every repetition's model and REW model in one call. A
+step computes gradients only (``mlp_grad``); ``mlp_loss_grad`` adds the loss to
+the same gradients, and ``logistic_loss_grad`` is its no-hidden-layer case, for
 finite-difference checking.
 """
 
@@ -59,8 +57,11 @@ class TrainConfig:
 
 
 def check_weights(weights) -> np.ndarray:
-    """``weights`` as a float array; UsageError unless every entry is positive and finite."""
-    weights = np.asarray(weights, dtype=float)
+    """``weights`` as a float array; UsageError unless every entry is a positive, finite number."""
+    try:
+        weights = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"weights must be numbers: {e}") from None
     if not ((weights > 0) & (weights < np.inf)).all():
         raise UsageError("weights must be positive and finite")
     return weights
@@ -96,8 +97,8 @@ def mlp_grad(weights, biases, X, y, share, l2):
 
     ``share`` is each row's sample weight divided by the batch's total. The
     rows ``X`` (..., rows, dim), labels ``y`` and ``share`` (..., rows, 1)
-    broadcast over the leading axes of the parameters (in the descent, each
-    dataset's rows and labels over its K parameter sets); each weight matrix
+    broadcast over the leading axes of the parameters (in the descent, the
+    one axis of S parameter sets, see ``_descend``); each weight matrix
     (..., fan_in, fan_out) and bias (..., 1, fan_out) has the shape of its
     gradient. Each (rows, dim) slice is its own BLAS product.
     """
@@ -183,71 +184,69 @@ def check_trainable(train: Dataset) -> None:
         raise TrainingError("training data contains a single label class")
 
 
-def _sample_weights(weights, n: int) -> np.ndarray:
-    """The (n, K) per-row sample weights of one ``weights`` entry: K vectors
-    (None for all ones), or None for one unweighted set."""
-    given = [None] if weights is None else list(weights)
+def _listed(values, message, kind=object) -> list:
+    """``values`` as a list of ``kind`` items; UsageError(message) otherwise."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise UsageError(message) from None
+    if not all(isinstance(v, kind) for v in values):
+        raise UsageError(message)
+    return values
+
+
+def _sample_weights(entry, n: int) -> list:
+    """One ``weights`` entry's sample weight vectors, one per model to train
+    (ones for None); a None entry trains one unweighted model."""
+    given = [None] if entry is None else _listed(
+        entry, "a weights entry must be None or a sequence of weight vectors")
     if not given:
         raise UsageError("weights must hold at least one entry (None for all ones)")
-    sample_w = np.ones((n, len(given)))
-    for column, w in enumerate(given):
-        if w is not None:
-            w = check_weights(w)
-            if len(w) != n:
-                raise UsageError("weights length must equal the training size")
-            sample_w[:, column] = w
-    return sample_w
+    vectors = [np.ones(n) if w is None else check_weights(w) for w in given]
+    for w in vectors:
+        if w.shape != (n,):
+            raise UsageError("each weight vector must hold one weight per training row: "
+                             f"length must equal the training size {n}, got shape {w.shape}")
+    return vectors
 
 
 def _batch_shares(sample_w, step):
     """Each row's weight divided by its batch's total, for batches of ``step``
-    consecutive rows; ``sample_w`` and the result are (..., rows, 1).
+    consecutive rows; ``sample_w`` and the result are (S, rows, 1).
 
     Every total is summed over a C-contiguous block, as a separate fit's 1-D
     batch sum is: summed as a strided slice, a total can round differently.
     """
-    *lead, n, _ = sample_w.shape
+    sets, n, _ = sample_w.shape
     shares = np.empty_like(sample_w)
     whole = n - n % step  # the rows in batches of exactly ``step``
     for lo, hi, size in ((0, whole, step), (whole, n, n - whole)):
         if lo < hi:
-            blocks = np.ascontiguousarray(sample_w[..., lo:hi, :]).reshape(*lead, -1, size)
-            shares[..., lo:hi, :] = (blocks / blocks.sum(axis=-1, keepdims=True)).reshape(
-                *lead, -1, 1)
+            blocks = np.ascontiguousarray(sample_w[:, lo:hi]).reshape(sets, -1, size)
+            shares[:, lo:hi] = (blocks / blocks.sum(axis=-1, keepdims=True)).reshape(sets, -1, 1)
     return shares
 
 
 def _descend(X, y, sample_w, seeds, config: TrainConfig, hidden_layers):
     """Seeded mini-batch gradient descent of the net with ``hidden_layers``,
-    over R datasets x K parameter sets in lockstep.
+    over S parameter sets in lockstep.
 
-    The R = ``len(seeds)`` datasets share their size n, the encoding width
-    and ``config`` apart from the seed; their rows come one dataset after
-    another: encoded rows ``X`` (R * n, dim), labels ``y`` (R * n,) and K
-    sample weights per row, ``sample_w`` (R * n, K). Each dataset's K sets
-    start from its seed's ``init_mlp_params``, follow its seed's batch order
-    and differ only in their sample weights. Each set's arithmetic is that of
-    a separate fit, so its parameters are bit-identical to one. A step calls
-    ``mlp_grad`` on batches ``X`` (R, 1, rows, dim), ``y`` (R, 1, rows, 1) and
-    weight shares (R, K, rows, 1) (see ``_batch_shares``), or (rows, dim),
-    (1, rows, 1) and (K, rows, 1) for one dataset. Each epoch gathers
-    every dataset's rows, and their shares, in a fresh random order once and
-    steps over contiguous slices of ``batch_size`` rows; a full batch
-    (``batch_size`` None or at least n) draws no order. Returns the weight
-    matrices (R, K, fan_in, fan_out) and biases (R, K, 1, fan_out) per layer.
+    Set s is one model: encoded rows ``X[s]`` (n, dim), labels ``y[s]`` and
+    sample weights ``sample_w[s]`` (n,), and the seed ``seeds[s]`` whose
+    ``init_mlp_params`` it starts from and whose batch order it follows. Each
+    set's arithmetic is that of a separate fit, so its parameters are
+    bit-identical to one. Each epoch gathers every set's rows and weight shares
+    (see ``_batch_shares``) in a fresh random order through one flat row index,
+    and steps over contiguous slices of ``batch_size`` rows; a full batch
+    (``batch_size`` None or at least n) draws no order. Returns each layer's
+    weights (S, fan_in, fan_out) and biases (S, 1, fan_out).
     """
-    reps, k = len(seeds), sample_w.shape[1]
-    n = len(y) // reps
-    # the leading axes of the parameters and shares, and those of the rows,
-    # which broadcast over K; one dataset drops its R axis, as every numpy call
-    # costs more per axis
-    lead, x_lead = ((k,), ()) if reps == 1 else ((reps, k), (reps, 1))
-    inits = [init_mlp_params(X.shape[1], hidden_layers, seed) for seed in seeds]
-    # each parameter with the leading axes, updated in place
-    layer_w = [np.repeat(np.stack(ws)[:, None], k, axis=1).reshape(*lead, *ws[0].shape)
-               for ws in zip(*(w for w, _ in inits))]
-    layer_b = [np.repeat(np.stack(bs)[:, None, None], k, axis=1).reshape(*lead, 1, -1)
-               for bs in zip(*(b for _, b in inits))]
+    sets, n, dim = X.shape
+    X, y, sample_w = X.reshape(sets * n, dim), y.ravel(), sample_w.ravel()
+    inits = {seed: init_mlp_params(dim, hidden_layers, seed) for seed in seeds}
+    # each parameter with a leading S axis, updated in place
+    layer_w = [np.stack(ws) for ws in zip(*(inits[seed][0] for seed in seeds))]
+    layer_b = [np.stack(bs)[:, None] for bs in zip(*(inits[seed][1] for seed in seeds))]
     params = layer_w + layer_b  # the same arrays, in the order of mlp_grad's gradients
     full_batch = config.batch_size is None or config.batch_size >= n
     step = n if full_batch else config.batch_size
@@ -255,24 +254,24 @@ def _descend(X, y, sample_w, seeds, config: TrainConfig, hidden_layers):
 
     def gather(rows):
         """The epoch's rows, labels and weight shares, in the order ``rows``."""
-        weights = sample_w[rows].reshape(reps, n, k).transpose(0, 2, 1).reshape(*lead, n, 1)
-        return (X[rows].reshape(*x_lead, n, -1), y[rows].reshape(*lead[:-1], 1, n, 1),
-                _batch_shares(weights, step))
+        return (X.take(rows, axis=0).reshape(sets, n, dim), y.take(rows).reshape(sets, n, 1),
+                _batch_shares(sample_w.take(rows).reshape(sets, n, 1), step))
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # a batch order depends on its seed alone: the sets of one seed share it
+    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
     # a full batch keeps the rows in order; each mini-batch epoch gathers its own
-    X_e, y_e, share_e = gather(np.arange(reps * n))
+    X_e, y_e, share_e = gather(np.arange(sets * n))
     for _ in range(config.epochs):
         if not full_batch:
+            orders = {seed: rng.permutation(n) for seed, rng in rngs.items()}
             X_e, y_e, share_e = gather(np.concatenate(
-                [rng.permutation(n) + r * n for r, rng in enumerate(rngs)]))
+                [orders[seed] + j * n for j, seed in enumerate(seeds)]))
         for s in range(0, n, step):
-            grads_w, grads_b = mlp_grad(layer_w, layer_b, X_e[..., s:s + step, :],
-                                        y_e[..., s:s + step, :], share_e[..., s:s + step, :], l2)
+            grads_w, grads_b = mlp_grad(layer_w, layer_b, X_e[:, s:s + step],
+                                        y_e[:, s:s + step], share_e[:, s:s + step], l2)
             for param, g in zip(params, grads_w + grads_b):
                 param -= lr * g
-    return ([W.reshape(reps, k, *W.shape[-2:]) for W in layer_w],
-            [b.reshape(reps, k, *b.shape[-2:]) for b in layer_b])
+    return layer_w, layer_b
 
 
 def _fit(trains, configs, hidden_layers, weights, build):
@@ -280,40 +279,45 @@ def _fit(trains, configs, hidden_layers, weights, build):
 
     A sequence brings one config and one ``weights`` entry per dataset
     (``weights`` None for all None); an entry holds per-row weight vectors
-    (None for all ones) or is None for one unweighted model. Every dataset is
-    checked before any training. Datasets with equal training size, encoding
-    width, number of weight vectors and config apart from the seed train in
-    one ``_descend``. A result is the list of models ``build(schema, encoding,
-    layer_w, layer_b)`` makes from parameters (K, fan_in, fan_out)
-    and (K, 1, fan_out) per layer, or its one model for a None entry.
+    (None for all ones) or is None for one unweighted model. Every argument is
+    checked before any training. Each model is one set: its dataset's rows,
+    labels and seed, and one weight vector. Datasets with equal training size,
+    encoding width and config apart from the seed train their sets in one
+    ``_descend``, dataset by dataset. ``build(layer_w, layer_b, encoding,
+    schema)`` makes one model from one set's weight matrices and bias vectors.
+    A result is its dataset's list of models, or its one model for a None entry.
     """
     single = isinstance(trains, Dataset)
     if single:
         trains, configs, weights = [trains], [configs], [weights]
-    trains, configs = list(trains), list(configs)
-    weights = [None] * len(trains) if weights is None else list(weights)
+    trains = _listed(trains, "train must be a Dataset or a sequence of datasets", Dataset)
+    configs = _listed(configs, "config must be a TrainConfig or a sequence of them", TrainConfig)
+    weights = _listed([None] * len(trains) if weights is None else weights,
+                      "weights must be None or a sequence of one entry per dataset")
     if not len(trains) == len(configs) == len(weights):
         raise UsageError("give one train config and one weights entry per training set")
     for train in trains:
         check_trainable(train)
-    sample_ws = [_sample_weights(entry, len(train)) for train, entry in zip(trains, weights)]
+    vectors = [_sample_weights(entry, len(train)) for train, entry in zip(trains, weights)]
     encodings = [build_encoding(train) for train in trains]
     groups: dict = {}
-    for i, (config, encoding, sample_w) in enumerate(zip(configs, encodings, sample_ws)):
-        key = (encoding.dim, sample_w.shape, astuple(replace(config, seed=0)))
-        groups.setdefault(key, []).append(i)
-    results = [None] * len(trains)
+    for i, (train, config, encoding) in enumerate(zip(trains, configs, encodings)):
+        groups.setdefault((encoding.dim, len(train), astuple(replace(config, seed=0))),
+                          []).append(i)
+    models = [[] for _ in trains]
     for members in groups.values():
-        X = np.concatenate([encode_matrix(trains[i].instances(), trains[i].schema, encodings[i])
-                            for i in members])
-        y = np.array([label for i in members for label in trains[i].labels], dtype=float)
-        layer_w, layer_b = _descend(X, y, np.concatenate([sample_ws[i] for i in members]),
-                                    [configs[i].seed for i in members], configs[members[0]],
-                                    hidden_layers)
-        for j, i in enumerate(members):
-            models = build(trains[i].schema, encodings[i], [W[j] for W in layer_w],
-                           [b[j] for b in layer_b])
-            results[i] = models[0] if weights[i] is None else models
+        rows = {i: encode_matrix(trains[i].instances(), trains[i].schema, encodings[i])
+                for i in members}
+        sets = [(i, w) for i in members for w in vectors[i]]
+        layer_w, layer_b = _descend(
+            np.stack([rows[i] for i, _ in sets]),
+            np.array([trains[i].labels for i, _ in sets], dtype=float),
+            np.stack([w for _, w in sets]), [configs[i].seed for i, _ in sets],
+            configs[members[0]], hidden_layers)
+        for s, (i, _) in enumerate(sets):
+            models[i].append(build([W[s] for W in layer_w], [b[s, 0] for b in layer_b],
+                                   encodings[i], trains[i].schema))
+    results = [result[0] if entry is None else result for result, entry in zip(models, weights)]
     return results[0] if single else results
 
 
@@ -326,10 +330,9 @@ def fit_logistic(train, config, *, weights=None):
     config and one ``weights`` entry each, it returns one such result per
     dataset, trained in lockstep where their shapes allow (see ``_fit``).
     """
-    def build(schema, encoding, layer_w, layer_b):
+    def build(layer_w, layer_b, encoding, schema):
         (w,), (b,) = layer_w, layer_b
-        return [LogisticModel(weights=w_k, bias=float(b_k), encoding=encoding, schema=schema)
-                for w_k, b_k in zip(w[:, :, 0], b[:, 0, 0])]
+        return LogisticModel(w[:, 0], float(b[0]), encoding, schema)
 
     return _fit(train, config, (), weights, build)
 
@@ -358,12 +361,7 @@ def fit_mlp(train, config, hidden_layers=DEFAULT_HIDDEN_LAYERS, *, weights=None)
     Returns the model, one model per entry of ``weights`` as a list, or one
     such result per dataset of a sequence, as ``fit_logistic`` does.
     """
-    def build(schema, encoding, layer_w, layer_b):
-        return [MlpModel(layer_weights=list(ws), layer_biases=[b[0] for b in bs],
-                         encoding=encoding, schema=schema)
-                for ws, bs in zip(zip(*layer_w), zip(*layer_b))]
-
-    return _fit(train, config, hidden_layers, weights, build)
+    return _fit(train, config, hidden_layers, weights, MlpModel)
 
 
 def favorable(p):

@@ -13,6 +13,7 @@ from fairhome.model import (
     LogisticModel,
     MlpModel,
     TrainConfig,
+    check_weights,
     fit_logistic,
     fit_mlp,
     init_mlp_params,
@@ -452,8 +453,8 @@ def test_fit_over_datasets_equals_separate_fits_bit_for_bit(case):
     """A fit given R datasets, with one config and one weights entry each,
     returns one result per dataset, each model equal bit for bit to a separate
     fit of its dataset with its weight vector alone; datasets with equal size,
-    encoding width, number of weight vectors and config apart from the seed
-    share one descent."""
+    encoding width and config apart from the seed share one descent, which
+    trains one set per model."""
     import fairhome.model
 
     entries, hidden = case
@@ -470,9 +471,10 @@ def test_fit_over_datasets_equals_separate_fits_bit_for_bit(case):
         results = fit(trains, configs, weights=weights)
     finally:
         fairhome.model._descend = descend
-    groups = {(build_encoding(train).dim, len(train), 1 if w is None else len(w),
-               config.learning_rate) for train, config, w in entries}
-    assert len(descents) == len(groups) and sum(descents) == len(entries)
+    groups = {(build_encoding(train).dim, len(train), config.learning_rate)
+              for train, config, _ in entries}
+    sets = sum(1 if w is None else len(w) for _, _, w in entries)
+    assert len(descents) == len(groups) and sum(descents) == sets
     assert len(results) == len(entries)
     for result, (train, config, weights) in zip(results, entries):
         if weights is None:
@@ -487,14 +489,38 @@ def test_fit_over_datasets_equals_separate_fits_bit_for_bit(case):
             assert all(np.array_equal(x, y) for x, y in zip(model_params(a), model_params(b)))
 
 
-def test_weights_are_checked_before_training():
+def test_weights_are_checked_before_training(monkeypatch):
+    """Every fit argument of the wrong type or shape raises a UsageError that
+    names it, before any descent starts."""
+    import fairhome.model
+
+    def untrained(*args):
+        raise AssertionError("a descent started")
+
     train = separable_dataset()
+    monkeypatch.setattr(fairhome.model, "_descend", untrained)
     for bad, message in (([np.zeros(20)], "positive and finite"),
                          ([None, np.ones(19)], "length must equal the training size"),
-                         ([], "at least one entry")):
+                         ([], "at least one entry"),
+                         (np.ones(20), r"one weight per training row.*got shape \(\)"),
+                         ([np.ones((20, 2))], r"one weight per training row.*shape \(20, 2\)"),
+                         ([np.ones(20), "x"], "weights must be numbers"),
+                         ([None, ["x"] * 20], "weights must be numbers"),
+                         (5, "a weights entry must be None or a sequence")):
         for fit in (fit_logistic, lambda *a, **k: fit_mlp(*a, hidden_layers=(2,), **k)):
             with pytest.raises(UsageError, match=message):
                 fit(train, TrainConfig(epochs=1), weights=bad)
+    for trains, configs, message in (([train, train], TrainConfig(), "config must be"),
+                                     (train, [TrainConfig()], "config must be"),
+                                     (None, TrainConfig(), "train must be"),
+                                     ([train, "rows"], [TrainConfig()] * 2, "train must be")):
+        with pytest.raises(UsageError, match=message):
+            fit_logistic(trains, configs)
+    with pytest.raises(UsageError, match="weights must be None or a sequence"):
+        fit_logistic([train], [TrainConfig()], weights=5)
+    with pytest.raises(UsageError, match="weights must be numbers"):
+        check_weights(["x"])
+    monkeypatch.undo()
     [model] = fit_logistic(train, TrainConfig(epochs=1), weights=[None])
     assert model.fingerprint() == fit_logistic(train, TrainConfig(epochs=1)).fingerprint()
 

@@ -81,6 +81,42 @@ def test_bad_rew_weights_fail_the_rew_cells_alone(tmp_path, monkeypatch):
             assert after.model_fingerprint == before.model_fingerprint
 
 
+def test_bad_rew_weights_in_one_repetition_fail_its_rew_cells_alone(tmp_path, monkeypatch):
+    """When one repetition's REW weights are bad, its main model trains in one
+    descent beside the other repetitions' main and REW models (one parameter
+    set beside two): that repetition's other cells keep a good run's
+    fingerprints and metric values, and so do the other repetitions' rew cells."""
+    import fairhome.model
+    import fairhome.runner
+
+    config = small_config(tmp_path, methods=("original", "fairhome", "rew"), repetitions=3)
+    good = run_experiment(config)
+    rew, descend = fairhome.runner.reweighting_weights, fairhome.model._descend
+    splits, descents = [], []
+
+    def bad_for_the_second_split(train):
+        splits.append(train)
+        return np.zeros(len(train)) if len(splits) == 2 else rew(train)
+
+    monkeypatch.setattr(fairhome.runner, "reweighting_weights", bad_for_the_second_split)
+    monkeypatch.setattr(fairhome.model, "_descend",
+                        lambda *args: descents.append(len(args[3])) or descend(*args))
+    bad = run_experiment(config)
+    assert descents == [5]  # 2 + 1 + 2 sets
+    assert len(bad.records) == len(good.records) == 9
+    for before, after in zip(good.records, bad.records):
+        assert (before.repetition, before.method) == (after.repetition, after.method)
+        assert before.error is None
+        if (after.repetition, after.method) == (1, "rew"):
+            assert after.error == "UsageError: weights must be positive and finite"
+            assert after.model_fingerprint == "" and after.report is None
+        else:
+            assert (after.error, after.model_fingerprint) == (None, before.model_fingerprint)
+            assert after.report.to_flat_dict() == before.report.to_flat_dict()
+    assert bad.fairea_cases == [c for c in good.fairea_cases
+                                if (c.repetition, c.method) != (1, "rew")]
+
+
 def split_one_single_label(dataset, test_fraction, seed):
     """``split``, except that the training split of seed 43 holds one label."""
     from fairhome.data import split
