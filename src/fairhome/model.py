@@ -7,9 +7,10 @@ is deterministic given (data, config). Each model a fit trains is one parameter
 set: a dataset's rows, labels and seed, and one per-row weight vector. A fit
 trains the sets of alike datasets in lockstep, each bit-identical to a separate
 fit; the runner trains every repetition's model and REW model in one call. A
-step computes gradients only (``mlp_grad``); ``mlp_loss_grad`` adds the loss to
-the same gradients, and ``logistic_loss_grad`` is its no-hidden-layer case, for
-finite-difference checking.
+step writes gradients only (``_backward``), into one flat buffer, and updates
+every parameter, a view into another, in one subtraction. ``mlp_grad`` returns
+the same gradients, ``mlp_loss_grad`` adds the loss, and ``logistic_loss_grad``
+is its no-hidden-layer case, for finite-difference checking.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .data import (
 from .errors import TrainingError, UsageError
 
 DEFAULT_HIDDEN_LAYERS = (64, 32, 16, 8, 4)
+# a step's scalar operands as 0-d float64 arrays, which a ufunc takes without converting
+_ZERO, _ONE, _CLIP_LO, _CLIP_HI = (np.array(v) for v in (0.0, 1.0, -500.0, 500.0))
 
 
 @dataclass
@@ -69,7 +72,7 @@ def check_weights(weights) -> np.ndarray:
 
 def sigmoid(z):
     # np.minimum/np.maximum clip as np.clip does, with less overhead per call
-    return 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(z, 500), -500)))
+    return _ONE / (_ONE + np.exp(-np.maximum(np.minimum(z, _CLIP_HI), _CLIP_LO)))
 
 
 def _cross_entropy(z, y, share):
@@ -81,15 +84,27 @@ def mlp_forward(weights, biases, X):
     """ReLU hidden layers, sigmoid output; returns (probabilities, activations, logits).
 
     The probabilities and logits are (..., rows, 1) columns: any leading axes of
-    the parameters carry through, each bias broadcasting over the rows.
+    the parameters carry through, each bias added, in place, over the rows.
     """
-    h = X
-    activations = [X]
-    for W, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(0.0, h @ W + b)
-        activations.append(h)
-    z = h @ weights[-1] + biases[-1]
+    activations, z = [X], X @ weights[0]
+    for layer in range(1, len(weights)):
+        z += biases[layer - 1]
+        activations.append(np.maximum(_ZERO, z, out=z))
+        z = activations[-1] @ weights[layer]
+    z += biases[-1]
     return sigmoid(z), activations, z
+
+
+def _backward(weights, biases, X, y, share, grads_w, grads_b):
+    """Put ``mlp_grad``'s gradients, without the L2 term, in the lists ``grads_w``
+    and ``grads_b``, written into each entry's array (a fresh one for None)."""
+    p, activations, _ = mlp_forward(weights, biases, X)
+    delta = share * (p - y)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = np.matmul(activations[layer].swapaxes(-1, -2), delta, out=grads_w[layer])
+        grads_b[layer] = delta.sum(axis=-2, keepdims=True, out=grads_b[layer])
+        if layer:
+            delta = (delta @ weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0)
 
 
 def mlp_grad(weights, biases, X, y, share, l2):
@@ -97,20 +112,15 @@ def mlp_grad(weights, biases, X, y, share, l2):
 
     ``share`` is each row's sample weight divided by the batch's total. The
     rows ``X`` (..., rows, dim), labels ``y`` and ``share`` (..., rows, 1)
-    broadcast over the leading axes of the parameters (in the descent, the
-    one axis of S parameter sets, see ``_descend``); each weight matrix
+    broadcast over the leading axes of the parameters; each weight matrix
     (..., fan_in, fan_out) and bias (..., 1, fan_out) has the shape of its
-    gradient. Each (rows, dim) slice is its own BLAS product.
+    gradient. Each (rows, dim) slice is its own BLAS product. ``_backward``, the
+    descent's step, writes them into fresh arrays, before the L2 term is added.
     """
-    p, activations, _ = mlp_forward(weights, biases, X)
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
-    delta = share * (p - y)
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].swapaxes(-1, -2) @ delta + l2 * weights[layer]
-        grads_b[layer] = delta.sum(axis=-2, keepdims=True)
-        if layer > 0:
-            delta = (delta @ weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0)
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    _backward(weights, biases, X, y, share, grads_w, grads_b)
+    for g, W in zip(grads_w, weights):
+        g += l2 * W
     return grads_w, grads_b
 
 
@@ -227,50 +237,61 @@ def _batch_shares(sample_w, step):
     return shares
 
 
-def _descend(X, y, sample_w, seeds, config: TrainConfig, hidden_layers):
+def _descend(X, y, sample_w, sets, config: TrainConfig, hidden_layers):
     """Seeded mini-batch gradient descent of the net with ``hidden_layers``,
     over S parameter sets in lockstep.
 
-    Set s is one model: encoded rows ``X[s]`` (n, dim), labels ``y[s]`` and
-    sample weights ``sample_w[s]`` (n,), and the seed ``seeds[s]`` whose
-    ``init_mlp_params`` it starts from and whose batch order it follows. Each
-    set's arithmetic is that of a separate fit, so its parameters are
-    bit-identical to one. Each epoch gathers every set's rows and weight shares
-    (see ``_batch_shares``) in a fresh random order through one flat row index,
-    and steps over contiguous slices of ``batch_size`` rows; a full batch
-    (``batch_size`` None or at least n) draws no order. Returns each layer's
-    weights (S, fan_in, fan_out) and biases (S, 1, fan_out).
+    ``X`` (D, n, dim) and ``y`` (D, n) are D datasets' encoded rows and labels.
+    Set s is one model, ``sets[s] == (d, seed)``: dataset d's rows and labels,
+    sample weights ``sample_w[s]`` (n,), and the seed whose ``init_mlp_params``
+    it starts from and whose batch order it follows. Each set's arithmetic is
+    that of a separate fit, so its parameters are bit-identical to one. Each
+    epoch gathers every set's rows and weight shares (see ``_batch_shares``) in
+    a fresh random order, and steps over contiguous slices of ``batch_size``
+    rows; a full batch (``batch_size`` None or at least n) draws no order. All
+    parameters are views into one flat buffer, and their gradients into another:
+    a step writes the gradients, adds the L2 term over all weights at once and
+    updates the buffer in one subtraction. Returns each layer's weights (S,
+    fan_in, fan_out) and biases (S, 1, fan_out), views into that buffer.
     """
-    sets, n, dim = X.shape
-    X, y, sample_w = X.reshape(sets * n, dim), y.ravel(), sample_w.ravel()
-    inits = {seed: init_mlp_params(dim, hidden_layers, seed) for seed in seeds}
-    # each parameter with a leading S axis, updated in place
-    layer_w = [np.stack(ws) for ws in zip(*(inits[seed][0] for seed in seeds))]
-    layer_b = [np.stack(bs)[:, None] for bs in zip(*(inits[seed][1] for seed in seeds))]
-    params = layer_w + layer_b  # the same arrays, in the order of mlp_grad's gradients
+    _, n, dim = X.shape
+    X, y, sample_w = X.reshape(-1, dim), y.ravel(), sample_w.ravel()
+    S, k = len(sets), len(hidden_layers) + 1  # sets, layers
+    inits = [init_mlp_params(dim, hidden_layers, seed) for _, seed in sets]
+    start = [np.stack(p) for p in zip(*(ws + [b[None] for b in bs] for ws, bs in inits))]
+    # the parameters, weights first, and their gradients as views into two flat buffers
+    P = np.concatenate([a.ravel() for a in start])
+    G, ends = np.empty_like(P), np.cumsum([a.size for a in start])
+    params, grads = ([part.reshape(a.shape) for part, a in zip(np.split(buf, ends), start)]
+                     for buf in (P, G))
+    (layer_w, layer_b), (grad_w, grad_b) = (params[:k], params[k:]), (grads[:k], grads[k:])
+    Pw, Gw = P[:ends[k - 1]], G[:ends[k - 1]]
     full_batch = config.batch_size is None or config.batch_size >= n
     step = n if full_batch else config.batch_size
-    lr, l2 = config.learning_rate, config.l2_penalty
+    # 0-d operands; float, since an int setting such as 10**300 would make an object array
+    lr, l2 = (np.array(v, dtype=float) for v in (config.learning_rate, config.l2_penalty))
+    # each set's first row among the datasets' rows, and among the weights
+    source, own = n * np.array([d for d, _ in sets])[:, None], n * np.arange(S)[:, None]
 
-    def gather(rows):
-        """The epoch's rows, labels and weight shares, in the order ``rows``."""
-        return (X.take(rows, axis=0).reshape(sets, n, dim), y.take(rows).reshape(sets, n, 1),
-                _batch_shares(sample_w.take(rows).reshape(sets, n, 1), step))
+    def gather(order):
+        """The epoch's rows, labels and weight shares, each set's (n,) in its ``order``."""
+        rows = (order + source).ravel()
+        return (X.take(rows, axis=0).reshape(S, n, dim), y.take(rows).reshape(S, n, 1),
+                _batch_shares(sample_w.take((order + own).ravel()).reshape(S, n, 1), step))
 
     # a batch order depends on its seed alone: the sets of one seed share it
-    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
+    rngs = {seed: np.random.default_rng(seed) for _, seed in sets}
     # a full batch keeps the rows in order; each mini-batch epoch gathers its own
-    X_e, y_e, share_e = gather(np.arange(sets * n))
+    X_e, y_e, share_e = gather(np.arange(n))
     for _ in range(config.epochs):
         if not full_batch:
             orders = {seed: rng.permutation(n) for seed, rng in rngs.items()}
-            X_e, y_e, share_e = gather(np.concatenate(
-                [orders[seed] + j * n for j, seed in enumerate(seeds)]))
+            X_e, y_e, share_e = gather(np.stack([orders[seed] for _, seed in sets]))
         for s in range(0, n, step):
-            grads_w, grads_b = mlp_grad(layer_w, layer_b, X_e[:, s:s + step],
-                                        y_e[:, s:s + step], share_e[:, s:s + step], l2)
-            for param, g in zip(params, grads_w + grads_b):
-                param -= lr * g
+            _backward(layer_w, layer_b, X_e[:, s:s + step], y_e[:, s:s + step],
+                      share_e[:, s:s + step], grad_w, grad_b)
+            Gw += l2 * Pw
+            P -= lr * G
     return layer_w, layer_b
 
 
@@ -306,15 +327,14 @@ def _fit(trains, configs, hidden_layers, weights, build):
                           []).append(i)
     models = [[] for _ in trains]
     for members in groups.values():
-        rows = {i: encode_matrix(trains[i].instances(), trains[i].schema, encodings[i])
-                for i in members}
-        sets = [(i, w) for i in members for w in vectors[i]]
+        sets = [(d, i, w) for d, i in enumerate(members) for w in vectors[i]]
         layer_w, layer_b = _descend(
-            np.stack([rows[i] for i, _ in sets]),
-            np.array([trains[i].labels for i, _ in sets], dtype=float),
-            np.stack([w for _, w in sets]), [configs[i].seed for i, _ in sets],
+            np.stack([encode_matrix(trains[i].instances(), trains[i].schema, encodings[i])
+                      for i in members]),
+            np.array([trains[i].labels for i in members], dtype=float),
+            np.stack([w for *_, w in sets]), [(d, configs[i].seed) for d, i, _ in sets],
             configs[members[0]], hidden_layers)
-        for s, (i, _) in enumerate(sets):
+        for s, (_, i, _) in enumerate(sets):
             models[i].append(build([W[s] for W in layer_w], [b[s, 0] for b in layer_b],
                                    encodings[i], trains[i].schema))
     results = [result[0] if entry is None else result for result, entry in zip(models, weights)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fairhome.data import Instance, build_encoding, encode_matrix
 from fairhome.errors import ShapeError, TrainingError, UsageError
 from fairhome.model import (
+    DEFAULT_HIDDEN_LAYERS,
     LogisticModel,
     MlpModel,
     TrainConfig,
@@ -18,6 +19,7 @@ from fairhome.model import (
     fit_mlp,
     init_mlp_params,
     logistic_loss_grad,
+    mlp_forward,
     mlp_grad,
     mlp_loss_grad,
     reweighting_weights,
@@ -354,7 +356,9 @@ def descent_cases(draw):
     weights = rng.uniform(0.2, 3.0, n) if draw(st.booleans()) else None
     config = TrainConfig(learning_rate=0.1, epochs=draw(st.integers(1, 3)),
                          batch_size=batch_size, seed=seed)
-    return train, config, weights, draw(st.sampled_from([(), (4,), (3, 2)]))
+    # three hidden layers and the paper's five check the flat buffers' offsets past two
+    hidden = draw(st.sampled_from([(), (4,), (3, 2), (4, 3, 2), DEFAULT_HIDDEN_LAYERS]))
+    return train, config, weights, hidden
 
 
 @settings(max_examples=80, deadline=None)
@@ -557,3 +561,71 @@ def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
                                   X, y, sw[j], l2)
         assert all(np.array_equal(g[j], h) for g, h in zip(grads_w, lw))
         assert all(np.array_equal(g[j, 0], h) for g, h in zip(grads_b, lb))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # a diverging descent overflows
+@pytest.mark.parametrize("hidden", [(), (3, 2)])
+def test_int_settings_train_as_the_equal_floats(hidden):
+    """``learning_rate`` and ``l2_penalty`` given as Python ints, one past the
+    int64 range among them, train exactly what the equal floats train: the same
+    parameters, or the same non-finite ones of a diverged descent."""
+    ds = separable_dataset()
+
+    def fit(config):
+        if not hidden:
+            return fit_logistic(ds, config)
+        return fit_mlp(ds, config, hidden_layers=hidden)
+
+    for lr, l2 in ((1, 0), (10**300, 0), (1, 1e-4), (10**300, 1e-4)):
+        got = fit(TrainConfig(learning_rate=lr, l2_penalty=l2, epochs=2))
+        want = fit(TrainConfig(learning_rate=float(lr), l2_penalty=float(l2), epochs=2))
+        assert got.fingerprint() == want.fingerprint()
+        finite = [all(np.isfinite(p).all() for p in m.parameters()) for m in (got, want)]
+        assert finite[0] == finite[1]
+        if l2:  # an L2 term times 10**300 overflows: the descent diverges
+            assert finite[0] == (lr == 1)
+
+
+@pytest.mark.parametrize("hidden", [(), (5, 3)])
+def test_forward_and_gradients_leave_their_inputs_alone(rng, hidden):
+    """The forward's bias adds and ReLUs work in place on fresh products only:
+    ``mlp_forward``, both ``proba_matrix`` methods, ``mlp_grad`` and
+    ``mlp_loss_grad`` leave the bytes of their rows, weights and biases as they
+    were, with 2-D rows against 2-D and against stacked (K, ...) parameters."""
+    n, d, k, l2 = 9, 4, 3, 1e-3
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, 2, n).astype(float)
+    sw = rng.uniform(0.5, 2.0, n)
+    share = (sw / sw.sum())[:, None]
+    sets = [init_mlp_params(d, hidden, seed=j) for j in range(k)]
+    weights = [np.stack(layer) + rng.normal(size=(k, 1, 1)) for layer in zip(*(w for w, _ in sets))]
+    biases = [np.stack(layer)[:, None, :] + rng.normal(size=(k, 1, 1))
+              for layer in zip(*(b for _, b in sets))]
+    one_w, one_b = [W[0] for W in weights], [b[0, 0] for b in biases]
+    inputs = [X, y, sw, share, *weights, *biases]
+    before = [a.tobytes() for a in inputs]
+    calls = [lambda: mlp_forward(one_w, one_b, X), lambda: mlp_forward(weights, biases, X),
+             lambda: MlpModel(one_w, one_b, None, None).proba_matrix(X),
+             lambda: mlp_grad(one_w, one_b, X, y[:, None], share, l2),
+             lambda: mlp_grad(weights, biases, X, y[:, None], share, l2),
+             lambda: mlp_loss_grad(one_w, one_b, X, y, sw, l2)]
+    if not hidden:
+        calls.append(lambda: LogisticModel(one_w[0][:, 0], float(one_b[0][0]), None,
+                                           None).proba_matrix(X))
+    for call in calls:
+        call()
+        assert [a.tobytes() for a in inputs] == before
+
+
+def test_models_of_one_lockstep_fit_share_no_memory():
+    """Every model of a fit owns its parameters: none of its arrays overlaps
+    another model's, across weight vectors and across datasets alike."""
+    ds = separable_dataset()
+    configs = [TrainConfig(epochs=1, seed=1), TrainConfig(epochs=1, seed=2)]
+    weights = [[None, np.full(len(ds), 2.0)], None]
+    for fit in (fit_logistic, lambda *a, **kw: fit_mlp(*a, hidden_layers=(3, 2), **kw)):
+        (a, b), c = fit([ds, ds], configs, weights=weights)
+        arrays = [[np.asarray(p) for p in model.parameters()] for model in (a, b, c)]
+        for i, mine in enumerate(arrays):
+            for theirs in arrays[i + 1:]:
+                assert not any(np.shares_memory(p, q) for p in mine for q in theirs)
