@@ -9,7 +9,7 @@ import typing
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -325,6 +325,14 @@ class NumericBlock:
     lo: float
     hi: float
 
+    def scale(self, values) -> np.ndarray:
+        """The cells ``encode`` gives the numeric ``values``, bit for bit: min-max scaled
+        (a zero span divides by inf, giving 0), then clamped comparison for comparison as
+        its min(1.0, max(0.0, scaled)) is, so an overflow to +-inf or a NaN maps alike."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = (np.asarray(values, dtype=float) - self.lo) / (self.hi - self.lo or np.inf)
+        return np.where(scaled > 0.0, np.where(scaled < 1.0, scaled, 1.0), 0.0)
+
 
 @dataclass(frozen=True)
 class EncodingMap:
@@ -332,6 +340,11 @@ class EncodingMap:
 
     blocks: tuple
     dim: int
+
+    @cached_property  # each block's first column; the encoding is frozen, so computed once
+    def starts(self) -> tuple[int, ...]:
+        return tuple(accumulate((len(b.levels) if isinstance(b, CategoricalBlock) else 1
+                                 for b in self.blocks[:-1]), initial=0))
 
 
 def build_encoding(train: Dataset) -> EncodingMap:
@@ -417,21 +430,12 @@ def encode_matrix(instances, schema: Schema, encoding: EncodingMap) -> np.ndarra
         return np.array([encode(inst, schema, encoding) for inst in instances]).reshape(
             n, encoding.dim)
     out = np.zeros((n, encoding.dim))
-    pos = 0
-    for column, block in zip(check_instances(instances, schema), encoding.blocks):
+    columns = check_instances(instances, schema)
+    for column, block, start in zip(columns, encoding.blocks, encoding.starts):
         if isinstance(block, CategoricalBlock):
             hot = np.fromiter(map(block.offsets.get, column, repeat(-1)), dtype=np.intp, count=n)
             rows = np.flatnonzero(hot >= 0)  # an unseen level leaves its row's block all zero
-            out[rows, pos + hot[rows]] = 1.0
-            pos += len(block.levels)
+            out[rows, start + hot[rows]] = 1.0
         else:
-            span = block.hi - block.lo
-            if span != 0:
-                # a tiny span overflows to +-inf and one past the float range gives
-                # inf / inf = NaN; the clamp below maps both as encode's min/max do
-                with np.errstate(over="ignore", invalid="ignore"):
-                    scaled = (np.array(column, dtype=float) - block.lo) / span
-                # encode's min(1.0, max(0.0, scaled)), comparison for comparison
-                out[:, pos] = np.where(scaled > 0.0, np.where(scaled < 1.0, scaled, 1.0), 0.0)
-            pos += 1
+            out[:, start] = block.scale(column)
     return out

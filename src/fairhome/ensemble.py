@@ -6,10 +6,12 @@ of them (and returns an array). A classifier with ``encoding`` and
 encoded once, each mutant row is its input's row with the protected one-hot
 columns (and, for correlated-features mutation, the numeric ones) rewritten,
 and one ``proba_matrix`` call scores every row into an (inputs, 1 +
-combinations) matrix from which each variant reads its members. Any other
-classifier, such as a deployed black box with only ``predict_proba(instance)``,
-is asked once per member built by ``generate_mutants``; that path is also the
-engine's reference.
+combinations) matrix from which each variant reads its members. The encoding
+places every rewritten cell (``EncodingMap.starts``) and scales every shifted
+one (``NumericBlock.scale``), so a mutant row is the row ``encode`` gives the
+mutant. Any other classifier, such as a deployed black box with only
+``predict_proba(instance)``, is asked once per member built by
+``generate_mutants``; that path is also the engine's reference.
 
 Tie conventions follow the decision rule "below 50% is unfavorable, otherwise
 favorable": a probability (or vote split) landing exactly on the boundary
@@ -20,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
-from .data import CategoricalBlock, Instance, ProtectedDomains, check_instances, encode_matrix
+from .data import Instance, ProtectedDomains, check_instances, encode_matrix
 from .errors import UsageError
 from .model import favorable
 from .mutate import CorrelationModel, MutationStrategy, generate_mutants, mutant_positions
@@ -93,12 +94,10 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
 def _member_scores(classifier, X, instances, domains, corr) -> np.ndarray:
     """``member_probabilities`` of ``instances`` encoded as the rows of ``X``."""
     schema, combos, encoding = domains.schema, domains.joint_combos, classifier.encoding
-    starts = [0, *accumulate(len(b.levels) if isinstance(b, CategoricalBlock) else 1
-                             for b in encoding.blocks)]
     rewrite = np.zeros((1 + len(combos), encoding.dim), dtype=bool)
     template = np.zeros(rewrite.shape)
     for a, i in enumerate(schema.protected_indices):
-        block, start = encoding.blocks[i], starts[i]
+        block, start = encoding.blocks[i], encoding.starts[i]
         rewrite[1:, start:start + len(block.levels)] = True
         for c, combo in enumerate(combos, start=1):
             j = block.offsets.get(combo[a])
@@ -108,12 +107,8 @@ def _member_scores(classifier, X, instances, domains, corr) -> np.ndarray:
 
     if corr is not None:
         shifted = corr.shifted(instances, combos)  # (N, C, features)
-        for feature, values in zip(corr.features, shifted.transpose(2, 0, 1)):
-            i = schema.index_of(feature)
-            block = encoding.blocks[i]
-            span = block.hi - block.lo
-            scaled = np.zeros_like(values) if span == 0 else (values - block.lo) / span
-            rows[:, 1:, starts[i]] = np.clip(scaled, 0.0, 1.0)  # as encode scales
+        for i, values in zip(map(schema.index_of, corr.features), shifted.transpose(2, 0, 1)):
+            rows[:, 1:, encoding.starts[i]] = encoding.blocks[i].scale(values)
 
     return classifier.proba_matrix(rows.reshape(-1, encoding.dim)).reshape(rows.shape[:2])
 

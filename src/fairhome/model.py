@@ -257,8 +257,9 @@ def _descend(X, y, sample_w, sets, config: TrainConfig, hidden_layers):
     _, n, dim = X.shape
     X, y, sample_w = X.reshape(-1, dim), y.ravel(), sample_w.ravel()
     S, k = len(sets), len(hidden_layers) + 1  # sets, layers
-    inits = [init_mlp_params(dim, hidden_layers, seed) for _, seed in sets]
-    start = [np.stack(p) for p in zip(*(ws + [b[None] for b in bs] for ws, bs in inits))]
+    inits = {seed: init_mlp_params(dim, hidden_layers, seed) for seed in {s for _, s in sets}}
+    start = [np.stack(p) for p in zip(*(ws + [b[None] for b in bs]
+                                        for ws, bs in (inits[seed] for _, seed in sets)))]
     # the parameters, weights first, and their gradients as views into two flat buffers
     P = np.concatenate([a.ravel() for a in start])
     G, ends = np.empty_like(P), np.cumsum([a.size for a in start])

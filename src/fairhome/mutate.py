@@ -69,10 +69,11 @@ class CorrelationModel:
         f_idx = [self.schema.index_of(f) for f in self.features]
         own = [tuple(inst.values[i] for i in p_idx) for inst in instances]
         distinct = {o: r for r, o in enumerate(dict.fromkeys(own))}
-        origin = self.predict(list(distinct))[[distinct[o] for o in own]]
         raw = np.array([[inst.values[i] for i in f_idx] for inst in instances],
                        dtype=float).reshape(len(instances), len(f_idx))  # also for no instances
-        return np.clip(raw[:, None] + (self.predict(targets) - origin[:, None]), *self.ranges.T)
+        with np.errstate(over="ignore"):  # the clamp brings back a sum past the float range
+            origin = self.predict(list(distinct))[[distinct[o] for o in own], None]
+            return np.clip(raw[:, None] + (self.predict(targets) - origin), *self.ranges.T)
 
 
 def fit_extrapolation_models(train: Dataset) -> CorrelationModel:

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairhome.ensemble
-from fairhome.data import (AttributeSpec, Dataset, Instance, Schema, build_encoding, load_dataset,
-                           protected_domains, split)
+from fairhome.data import (AttributeSpec, Dataset, Instance, Schema, build_encoding, encode,
+                           load_dataset, protected_domains, split)
 from fairhome.ensemble import EnsembleStrategy, fairhome_predict, member_probabilities
 from fairhome.errors import DataError, ShapeError, UsageError
 from fairhome.model import LogisticModel, MlpModel, TrainConfig, fit_logistic, fit_mlp
@@ -83,14 +83,7 @@ def cases(draw):
     # the model never saw some of the domain's levels: their one-hot blocks are all zero
     encoding = build_encoding(Dataset(schema=schema, rows=rows[: n // 2], labels=[]))
     numeric_attrs = [i for i, a in enumerate(attrs) if a.kind == "numeric"]
-    numeric_cols = []
-    pos = 0
-    for block in encoding.blocks:
-        if hasattr(block, "levels"):
-            pos += len(block.levels)
-        else:
-            numeric_cols.append(pos)
-            pos += 1
+    numeric_cols = [encoding.starts[i] for i in numeric_attrs]
     if mlp:
         hidden = int(rng.integers(1, 4))
         model = MlpModel(
@@ -124,8 +117,28 @@ def cases(draw):
     return model, domains, corr, [probes[i] for i in order]
 
 
+def one_feature_case(rows):
+    """A protected ``p`` and a numeric ``x``: a fixed logistic model encoded from
+    ``rows`` (labelled 0, 1, 0, 1), their domains and a shift model fitted on them."""
+    schema = Schema(attributes=(AttributeSpec("p", "categorical"), AttributeSpec("x", "numeric")),
+                    protected=("p",), label_column="y", favorable_value="1")
+    train = Dataset(schema=schema, rows=rows, labels=[0, 1, 0, 1])
+    model = LogisticModel(weights=np.array([0.3, -0.2, 1.0]), bias=0.1,
+                          encoding=build_encoding(train), schema=schema)
+    return model, protected_domains(train), fit_extrapolation_models(train)
+
+
+def float_limit_case():
+    """Numeric cells near the float limits, probed with the training rows: the
+    encoding's span overflows to inf, so scaling a shifted cell divides inf by
+    inf, which ``encode`` clamps to 0."""
+    rows = [("a", -1.7e308), ("b", 1.7e308), ("a", 1e308), ("b", -1e308)]
+    return (*one_feature_case(rows), [Instance(r) for r in rows])
+
+
 @settings(deadline=None, max_examples=150)
 @given(cases())
+@example(float_limit_case())
 def test_engine_decisions_equal_reference_for_batches_and_single_rows(case):
     model, domains, corr, probes = case
     box = BlackBox(model)
@@ -154,6 +167,54 @@ def test_member_probabilities_equal_per_mutant_scores(case):
             columns = [0] + [1 + combos.index(domains.combo_of(m)) for m in mutants]
             expected = [model.predict_proba(m) for m in (inst, *mutants)]
             np.testing.assert_allclose(P[i, columns], expected, rtol=0, atol=1e-12)
+
+
+class Recorder:
+    """A model's ``encoding`` and ``proba_matrix``, keeping every row it scores."""
+
+    def __init__(self, model):
+        self.model, self.encoding, self.rows = model, model.encoding, []
+
+    def proba_matrix(self, X):
+        self.rows.extend(X.copy())
+        return self.model.proba_matrix(X)
+
+
+@settings(deadline=None, max_examples=150)
+@given(cases())
+@example(float_limit_case())
+def test_member_rows_are_the_rows_encode_gives_each_member(case):
+    """Byte for byte, so that neither a NaN nor a -0.0 cell gets past."""
+    model, domains, corr, probes = case
+    schema, combos = domains.schema, domains.joint_combos
+    for mutation, shift in ((MutationStrategy.PROTECTED_ONLY, None),
+                            (MutationStrategy.CORRELATED_FEATURES, corr)):
+        recorder = Recorder(model)
+        member_probabilities(recorder, probes, domains, shift)
+        assert len(recorder.rows) == len(probes) * (1 + len(combos))
+        for i, inst in enumerate(probes):
+            rows = recorder.rows[i * (1 + len(combos)):(i + 1) * (1 + len(combos))]
+            assert rows[0].tobytes() == encode(inst, schema, model.encoding).tobytes()
+            for m in generate_mutants(inst, domains, mutation, corr).mutants:
+                row = rows[1 + combos.index(domains.combo_of(m))]
+                assert row.tobytes() == encode(m, schema, model.encoding).tobytes(), m
+
+
+def test_shifts_past_the_float_range_clamp_without_a_warning():
+    """A finite input past the shift model's training range overflows the shift to
+    inf; the clamp brings it back to the range's end on both paths, unwarned."""
+    model, domains, corr = one_feature_case([("a", 0.0), ("b", 1e308), ("a", 1.0),
+                                             ("b", 1.5e308)])
+    probe = Instance(("a", 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        [mutant] = generate_mutants(probe, domains, MutationStrategy.CORRELATED_FEATURES,
+                                    corr).mutants
+        assert mutant.values == ("b", 1.5e308)
+        for ensemble in EnsembleStrategy:
+            args = (domains, MutationStrategy.CORRELATED_FEATURES, ensemble, corr)
+            assert fairhome_predict(model, probe, *args) == fairhome_predict(BlackBox(model),
+                                                                             probe, *args)
 
 
 def _fixture_split(kind):

@@ -629,3 +629,23 @@ def test_models_of_one_lockstep_fit_share_no_memory():
         for i, mine in enumerate(arrays):
             for theirs in arrays[i + 1:]:
                 assert not any(np.shares_memory(p, q) for p in mine for q in theirs)
+
+
+def test_each_seed_draws_its_initial_parameters_once(monkeypatch):
+    """A descent draws one start per distinct seed: the plain and weighted sets
+    of a dataset share theirs, and each set still equals its separate fit."""
+    import fairhome.model
+
+    ds, draws = separable_dataset(), []
+    configs = [TrainConfig(epochs=2, seed=1), TrainConfig(epochs=2, seed=2)]
+    w_a, w_b = np.full(len(ds), 2.0), np.linspace(0.5, 1.5, len(ds))
+    init = fairhome.model.init_mlp_params
+    monkeypatch.setattr(fairhome.model, "init_mlp_params",
+                        lambda *args: draws.append(args[2]) or init(*args))
+    results = fit_mlp([ds, ds], configs, hidden_layers=(3, 2), weights=[[None, w_a], [None, w_b]])
+    assert sorted(draws) == [1, 2]
+    monkeypatch.undo()
+    for (plain, weighted), config, w in zip(results, configs, (w_a, w_b)):
+        assert plain.fingerprint() == fit_mlp(ds, config, hidden_layers=(3, 2)).fingerprint()
+        [alone] = fit_mlp(ds, config, hidden_layers=(3, 2), weights=[w])
+        assert weighted.fingerprint() == alone.fingerprint()
