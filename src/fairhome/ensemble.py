@@ -1,17 +1,16 @@
 """Aggregate classifier outputs on an input and its mutants into one decision.
 
 ``fairhome_predict`` takes one ``Instance`` (and returns an int) or a sequence
-of them (and returns an array). A classifier with ``encoding`` and
-``proba_matrix`` (both trained models) takes the batch engine: the inputs are
-encoded once, each mutant row is its input's row with the protected one-hot
-columns (and, for correlated-features mutation, the numeric ones) rewritten,
-and one ``proba_matrix`` call scores every row into an (inputs, 1 +
-combinations) matrix from which each variant reads its members. The encoding
-places every rewritten cell (``EncodingMap.starts``) and scales every shifted
-one (``NumericBlock.scale``), so a mutant row is the row ``encode`` gives the
-mutant. Any other classifier, such as a deployed black box with only
-``predict_proba(instance)``, is asked once per member built by
-``generate_mutants``; that path is also the engine's reference.
+of them (and returns an array). A classifier with ``encoding`` and ``proba_matrix``
+(both trained models) takes the batch engine: one ``member_probabilities`` call,
+then one reduction per own-combination group. That call encodes the inputs once;
+each mutant row is its input's row with the protected one-hot columns (and, for
+correlated-features mutation, the numeric ones) rewritten, byte for byte the row
+``encode`` gives the mutant, and one ``proba_matrix`` call scores every row. Any
+other classifier, such as a deployed black box with only ``predict_proba(instance)``,
+is asked once per member built by ``generate_mutants``; that path is also the
+engine's reference. Both paths read the mutation through ``mutant_positions``, so
+an unknown one raises ``UsageError`` on either.
 
 Tie conventions follow the decision rule "below 50% is unfavorable, otherwise
 favorable": a probability (or vote split) landing exactly on the boundary
@@ -82,18 +81,13 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
                          corr: CorrelationModel | None = None) -> np.ndarray:
     """(N, 1 + C) favorable-class probabilities of N instances and their mutants.
 
-    Column 0 scores each instance as given; column 1 + j scores it with its
-    protected values replaced by ``domains.joint_combos[j]`` and, when ``corr``
-    is given, its numeric features moved by ``corr.shifted``, as correlated-features
-    mutation does. The classifier needs ``encoding`` and ``proba_matrix``.
+    Encoding checks each instance first. Column 0 scores it as given; column 1 + j
+    scores it with its protected values replaced by ``domains.joint_combos[j]`` and,
+    when ``corr`` is given, its numeric features moved by ``corr.shifted``, as
+    correlated-features mutation does. The classifier needs ``encoding`` and ``proba_matrix``.
     """
-    X = encode_matrix(instances, domains.schema, classifier.encoding)
-    return _member_scores(classifier, X, instances, domains, corr)
-
-
-def _member_scores(classifier, X, instances, domains, corr) -> np.ndarray:
-    """``member_probabilities`` of ``instances`` encoded as the rows of ``X``."""
     schema, combos, encoding = domains.schema, domains.joint_combos, classifier.encoding
+    X = encode_matrix(instances, schema, encoding)
     rewrite = np.zeros((1 + len(combos), encoding.dim), dtype=bool)
     template = np.zeros(rewrite.shape)
     for a, i in enumerate(schema.protected_indices):
@@ -114,14 +108,12 @@ def _member_scores(classifier, X, instances, domains, corr) -> np.ndarray:
 
 
 def _decide_encoded(classifier, instances, domains, mutation, ensemble, corr) -> np.ndarray:
-    """The batch engine: one probability matrix, reduced per own-combination group.
-
-    Encoding checks every input, so a bad one raises before anything else."""
-    X = encode_matrix(instances, domains.schema, classifier.encoding)
-    if mutation is MutationStrategy.CORRELATED_FEATURES and corr is None:
+    """The batch engine: ``member_probabilities``, which checks every input before
+    anything else, reduced per own-combination group."""
+    correlated = mutation is MutationStrategy.CORRELATED_FEATURES
+    P = member_probabilities(classifier, instances, domains, corr if correlated else None)
+    if correlated and corr is None:
         raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
-    shift = corr if mutation is MutationStrategy.CORRELATED_FEATURES else None
-    P = _member_scores(classifier, X, instances, domains, shift)
     groups: dict = {}
     owns = zip(*([inst.values[i] for inst in instances] for i in domains.schema.protected_indices))
     for r, own in enumerate(owns):

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .data import NUMERIC, Dataset, Instance, ProtectedDomains
-from .errors import UsageError
+from .errors import DataError, UsageError
 
 
 class MutationStrategy(Enum):
@@ -71,9 +71,12 @@ class CorrelationModel:
         distinct = {o: r for r, o in enumerate(dict.fromkeys(own))}
         raw = np.array([[inst.values[i] for i in f_idx] for inst in instances],
                        dtype=float).reshape(len(instances), len(f_idx))  # also for no instances
-        with np.errstate(over="ignore"):  # the clamp brings back a sum past the float range
+        with np.errstate(over="ignore", invalid="ignore"):  # the clamp brings back overflows
             origin = self.predict(list(distinct))[[distinct[o] for o in own], None]
-            return np.clip(raw[:, None] + (self.predict(targets) - origin), *self.ranges.T)
+            values = np.clip(raw[:, None] + (self.predict(targets) - origin), *self.ranges.T)
+        if (undefined := np.isnan(values).any(axis=(0, 1))).any():  # NaN: a model not finite
+            raise DataError(f"{self.features[undefined.argmax()]!r} has no finite shift")
+        return values
 
 
 def fit_extrapolation_models(train: Dataset) -> CorrelationModel:
@@ -112,11 +115,12 @@ def _hamming(a, b) -> int:
 def mutant_positions(original_combo, domains: ProtectedDomains,
                      strategy: MutationStrategy) -> list:
     """Positions in ``domains.joint_combos`` of the combinations an input with
-    ``original_combo`` mutates into, in order.
-
-    Every observed combination but the original's own; the single-attribute
-    (multi-attribute) strategy keeps those at Hamming distance 1 (2 or more).
-    """
+    ``original_combo`` mutates into, in order: protected-only and correlated-features
+    take every observed combination but the original's own, single-attribute-only
+    (multi-attribute-only) those at Hamming distance 1 (2 or more); any other value
+    raises ``UsageError``."""
+    if not isinstance(strategy, MutationStrategy):
+        raise UsageError(f"unknown mutation strategy {strategy!r}")
     positions = [j for j, c in enumerate(domains.joint_combos) if c != original_combo]
     if strategy is MutationStrategy.SINGLE_ATTRIBUTE_ONLY:
         return [j for j in positions if _hamming(domains.joint_combos[j], original_combo) == 1]

@@ -217,6 +217,31 @@ def test_shifts_past_the_float_range_clamp_without_a_warning():
                                                                              probe, *args)
 
 
+def test_an_undefined_shift_raises_the_same_data_error_on_both_paths():
+    """Numeric cells at the float limits make the shift model's intercept inf, so
+    a shift is inf - inf; every path raises one ``DataError`` naming the feature,
+    unwarned, instead of deciding on (or building) a NaN cell."""
+    schema = Schema(attributes=(AttributeSpec("p", "categorical"),
+                                AttributeSpec("q", "categorical"), AttributeSpec("x", "numeric")),
+                    protected=("p", "q"), label_column="y", favorable_value="1")
+    rows = [("a", "u", 1.7e308), ("b", "u", 1.7e308), ("a", "v", 1.7e308), ("b", "v", -1.7e308)]
+    train = Dataset(schema=schema, rows=rows, labels=[0, 1, 0, 1])
+    model = LogisticModel(weights=np.array([0.3, -0.2, 0.1, 0.2, 1.0]), bias=0.1,
+                          encoding=build_encoding(train), schema=schema)
+    domains, probes = protected_domains(train), [Instance(r) for r in rows]
+    mutation = MutationStrategy.CORRELATED_FEATURES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        corr = fit_extrapolation_models(train)
+        assert corr.coefficients[0, 0] == np.inf
+        for ensemble in EnsembleStrategy:
+            for classifier in (model, BlackBox(model)):
+                with pytest.raises(DataError, match="'x' has no finite shift"):
+                    fairhome_predict(classifier, probes, domains, mutation, ensemble, corr)
+        with pytest.raises(DataError, match="'x' has no finite shift"):
+            generate_mutants(probes[0], domains, mutation, corr)
+
+
 def _fixture_split(kind):
     schema = Schema.from_json(FIXTURES / f"{kind}_synth.schema.json")
     return split(load_dataset(FIXTURES / f"{kind}_synth.csv", schema), 0.3, 42)
@@ -283,3 +308,25 @@ def test_engine_edge_inputs():
     with pytest.raises(UsageError, match="CorrelationModel"):
         fairhome_predict(model, train.instances()[:3], domains,
                          MutationStrategy.CORRELATED_FEATURES)
+
+
+def test_an_unknown_mutation_strategy_raises_on_both_paths():
+    """A mutation that is not a ``MutationStrategy``, its value string among them,
+    is a ``UsageError`` on both paths and from ``generate_mutants``, raised after
+    the inputs are checked; it is never run as some other strategy."""
+    train, test = _fixture_split("german")
+    domains = protected_domains(train)
+    model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
+    corr = fit_extrapolation_models(train)
+    values = test.rows[0]
+    numeric = next(i for i, a in enumerate(train.schema.attributes) if a.kind == "numeric")
+    bad = Instance(values[:numeric] + (float("nan"),) + values[numeric + 1:])
+    for mutation in ("correlated_features", "single_attribute_only", None, 3):
+        for classifier in (model, BlackBox(model)):
+            for batch in (test.instance(0), test.instances()[:10]):
+                with pytest.raises(UsageError, match="unknown mutation strategy"):
+                    fairhome_predict(classifier, batch, domains, mutation, corr=corr)
+            with pytest.raises(DataError):
+                fairhome_predict(classifier, [test.instance(0), bad], domains, mutation, corr=corr)
+        with pytest.raises(UsageError, match="unknown mutation strategy"):
+            generate_mutants(test.instance(0), domains, mutation, corr)

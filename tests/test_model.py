@@ -563,6 +563,12 @@ def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
         assert all(np.array_equal(g[j, 0], h) for g, h in zip(grads_b, lb))
 
 
+def test_a_negative_seed_is_a_usage_error_naming_it():
+    """numpy's generator takes no negative seed: ``TrainConfig`` rejects one."""
+    with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+        fit_logistic(separable_dataset(), TrainConfig(seed=-1))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # a diverging descent overflows
 @pytest.mark.parametrize("hidden", [(), (3, 2)])
 def test_int_settings_train_as_the_equal_floats(hidden):
