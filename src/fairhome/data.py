@@ -346,6 +346,31 @@ class EncodingMap:
         return tuple(accumulate((len(b.levels) if isinstance(b, CategoricalBlock) else 1
                                  for b in self.blocks[:-1]), initial=0))
 
+    @cached_property  # (protected indices, joint combos) -> member_template's pair
+    def _member_templates(self) -> dict:
+        return {}
+
+    def member_template(self, protected_indices: tuple, combos: tuple) -> tuple:
+        """The read-only (1 + C, dim) ``rewrite`` mask and ``template`` of an input's
+        members for C joint ``combos`` of the attributes at ``protected_indices``: row 0,
+        the input, rewrites nothing; row 1 + j sets each protected block to the one-hot
+        cells of ``combos[j]`` (all zero for a level the encoding lacks). Built once per
+        key and kept with the encoding."""
+        key = (protected_indices, combos)
+        if (pair := self._member_templates.get(key)) is None:
+            rewrite = np.zeros((1 + len(combos), self.dim), dtype=bool)
+            template = np.zeros(rewrite.shape)
+            for a, i in enumerate(protected_indices):
+                block, start = self.blocks[i], self.starts[i]
+                rewrite[1:, start:start + len(block.levels)] = True
+                for c, combo in enumerate(combos, start=1):
+                    j = block.offsets.get(combo[a])
+                    if j is not None:
+                        template[c, start + j] = 1.0
+            rewrite.flags.writeable = template.flags.writeable = False
+            pair = self._member_templates[key] = rewrite, template
+        return pair
+
 
 def build_encoding(train: Dataset) -> EncodingMap:
     if len(train) == 0:

@@ -6,7 +6,10 @@ of them (and returns an array). A classifier with ``encoding`` and ``proba_matri
 then one reduction per own-combination group. That call encodes the inputs once;
 each mutant row is its input's row with the protected one-hot columns (and, for
 correlated-features mutation, the numeric ones) rewritten, byte for byte the row
-``encode`` gives the mutant, and one ``proba_matrix`` call scores every row. Any
+``encode`` gives the mutant, and one ``proba_matrix`` call scores every row. The
+protected cells of the members come from a template built once per encoding and
+protected domains and kept with the model (``EncodingMap.member_template``); a call
+builds only its own rows. Any
 other classifier, such as a deployed black box with only ``predict_proba(instance)``,
 is asked once per member built by ``generate_mutants``; that path is also the
 engine's reference. Both paths read the mutation through ``mutant_positions``, so
@@ -84,20 +87,13 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
     Encoding checks each instance first. Column 0 scores it as given; column 1 + j
     scores it with its protected values replaced by ``domains.joint_combos[j]`` and,
     when ``corr`` is given, its numeric features moved by ``corr.shifted``, as
-    correlated-features mutation does. The classifier needs ``encoding`` and ``proba_matrix``.
+    correlated-features mutation does. The classifier needs ``encoding`` and ``proba_matrix``;
+    the protected cells come from ``encoding.member_template``, built once per domains.
     """
     schema, combos, encoding = domains.schema, domains.joint_combos, classifier.encoding
     X = encode_matrix(instances, schema, encoding)
-    rewrite = np.zeros((1 + len(combos), encoding.dim), dtype=bool)
-    template = np.zeros(rewrite.shape)
-    for a, i in enumerate(schema.protected_indices):
-        block, start = encoding.blocks[i], encoding.starts[i]
-        rewrite[1:, start:start + len(block.levels)] = True
-        for c, combo in enumerate(combos, start=1):
-            j = block.offsets.get(combo[a])
-            if j is not None:  # a level the encoding lacks stays an all-zero block
-                template[c, start + j] = 1.0
-    rows = np.where(rewrite, template, X[:, None, :])  # (N, 1 + C, dim)
+    rewrite, template = encoding.member_template(schema.protected_indices, combos)
+    rows = np.where(rewrite, template, X[:, None, :])  # (N, 1 + C, dim), fresh every call
 
     if corr is not None:
         shifted = corr.shifted(instances, combos)  # (N, C, features)
@@ -122,7 +118,7 @@ def _decide_encoded(classifier, instances, domains, mutation, ensemble, corr) ->
     for own, rows in groups.items():
         # the original first, then its mutants in generate_mutants order
         columns = [0, *(1 + j for j in mutant_positions(own, domains, mutation))]
-        decisions[rows] = _decide(P[np.ix_(rows, columns)], ensemble)
+        decisions[rows] = _decide(P.take(rows, 0).take(columns, 1), ensemble)
     return decisions
 
 

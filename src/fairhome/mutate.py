@@ -74,13 +74,14 @@ class CorrelationModel:
         with np.errstate(over="ignore", invalid="ignore"):  # the clamp brings back overflows
             origin = self.predict(list(distinct))[[distinct[o] for o in own], None]
             values = np.clip(raw[:, None] + (self.predict(targets) - origin), *self.ranges.T)
-        if (undefined := np.isnan(values).any(axis=(0, 1))).any():  # NaN: a model not finite
+        if (undefined := np.isnan(values).any(axis=(0, 1))).any():  # NaN: inf - inf
             raise DataError(f"{self.features[undefined.argmax()]!r} has no finite shift")
         return values
 
 
 def fit_extrapolation_models(train: Dataset) -> CorrelationModel:
-    """OLS fit of each numeric non-protected feature on the protected attributes."""
+    """OLS fit of each numeric non-protected feature on the protected attributes.
+    A fit whose coefficients are not finite raises ``DataError`` naming its feature."""
     if len(train) < 2:
         raise UsageError("need at least 2 rows to fit extrapolation models")
     schema = train.schema
@@ -102,7 +103,11 @@ def fit_extrapolation_models(train: Dataset) -> CorrelationModel:
     degenerate = rank < design.shape[1] or len(columns) == 0
     if degenerate:  # intercept-only models: each feature's mean
         solution = np.zeros_like(solution)
-        solution[0] = [targets[:, k].mean() for k in range(len(features))]
+        with np.errstate(over="ignore"):  # a mean past the float range is caught below
+            solution[0] = [targets[:, k].mean() for k in range(len(features))]
+    # cells near the float limits can fit coefficients that are not finite
+    if not (finite := np.isfinite(solution).all(axis=0)).all():
+        raise DataError(f"{features[finite.argmin()]!r} has no finite extrapolation model")
     ranges = np.column_stack([targets.min(axis=0), targets.max(axis=0)])
     return CorrelationModel(schema=schema, columns=columns, features=features,
                             coefficients=solution, ranges=ranges, degenerate=degenerate)

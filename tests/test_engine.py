@@ -19,7 +19,8 @@ from fairhome.data import (AttributeSpec, Dataset, Instance, Schema, build_encod
 from fairhome.ensemble import EnsembleStrategy, fairhome_predict, member_probabilities
 from fairhome.errors import DataError, ShapeError, UsageError
 from fairhome.model import LogisticModel, MlpModel, TrainConfig, fit_logistic, fit_mlp
-from fairhome.mutate import MutationStrategy, fit_extrapolation_models, generate_mutants
+from fairhome.mutate import (CorrelationModel, MutationStrategy, fit_extrapolation_models,
+                             generate_mutants)
 from fairhome.runner import DESK_HIDDEN_LAYERS, FAIRHOME_VARIANTS, _method_predictions
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -218,9 +219,10 @@ def test_shifts_past_the_float_range_clamp_without_a_warning():
 
 
 def test_an_undefined_shift_raises_the_same_data_error_on_both_paths():
-    """Numeric cells at the float limits make the shift model's intercept inf, so
-    a shift is inf - inf; every path raises one ``DataError`` naming the feature,
-    unwarned, instead of deciding on (or building) a NaN cell."""
+    """A shift model whose intercept is inf makes a shift inf - inf; every path
+    raises one ``DataError`` naming the feature, unwarned, instead of deciding on
+    (or building) a NaN cell. ``fit_extrapolation_models`` refuses to fit such a
+    model, so this one is built by hand."""
     schema = Schema(attributes=(AttributeSpec("p", "categorical"),
                                 AttributeSpec("q", "categorical"), AttributeSpec("x", "numeric")),
                     protected=("p", "q"), label_column="y", favorable_value="1")
@@ -230,10 +232,11 @@ def test_an_undefined_shift_raises_the_same_data_error_on_both_paths():
                           encoding=build_encoding(train), schema=schema)
     domains, probes = protected_domains(train), [Instance(r) for r in rows]
     mutation = MutationStrategy.CORRELATED_FEATURES
+    corr = CorrelationModel(schema=schema, columns=(("p", "b"), ("q", "v")), features=("x",),
+                            coefficients=np.array([[np.inf], [-1.7e308], [-1.7e308]]),
+                            ranges=np.array([[-1.7e308, 1.7e308]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        corr = fit_extrapolation_models(train)
-        assert corr.coefficients[0, 0] == np.inf
         for ensemble in EnsembleStrategy:
             for classifier in (model, BlackBox(model)):
                 with pytest.raises(DataError, match="'x' has no finite shift"):
@@ -262,6 +265,73 @@ def test_runner_variants_match_reference_on_fixtures(kind, model_kind):
             fast = _method_predictions(method, model, test.instances(), domains, corr)
             slow = _method_predictions(method, BlackBox(model), test.instances(), domains, corr)
             assert fast.tolist() == slow.tolist(), method
+
+
+def test_one_encoding_serves_interleaved_domains():
+    """Calls with two domains, in the order A, B, A, on one model: B lacks a
+    joint combination that A has, and each call matches the per-member path."""
+    train, test = _fixture_split("german")
+    model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
+    corr = fit_extrapolation_models(train)
+    full = protected_domains(train)
+    dropped = full.joint_combos[0]
+    kept = [i for i, row in enumerate(train.rows) if full.combo_of(Instance(row)) != dropped]
+    fewer = protected_domains(Dataset(schema=train.schema, rows=[train.rows[i] for i in kept],
+                                      labels=[train.labels[i] for i in kept]))
+    assert fewer.joint_combos == full.joint_combos[1:]
+    probes = test.instances()[:40]
+    for domains in (full, fewer, full):
+        for mutation in MutationStrategy:
+            args = (domains, mutation, EnsembleStrategy.MAJORITY_VOTE, corr)
+            assert (fairhome_predict(model, probes, *args).tolist()
+                    == fairhome_predict(BlackBox(model), probes, *args).tolist()), mutation
+
+
+def test_the_member_template_is_built_once_per_domains_and_read_only():
+    """The engine's template is kept with the encoding, keyed by the domains' values:
+    a later call, even with an equal ``ProtectedDomains`` built anew, reuses the
+    same read-only arrays."""
+    train, test = _fixture_split("compas")
+    model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
+    domains = protected_domains(train)
+    fairhome_predict(model, test.instances()[:5], domains)
+    first = model.encoding.member_template(train.schema.protected_indices, domains.joint_combos)
+    anew = protected_domains(train)
+    fairhome_predict(model, test.instance(5), anew)
+    second = model.encoding.member_template(train.schema.protected_indices, anew.joint_combos)
+    assert all(a is b for a, b in zip(first, second))
+    for array in first:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+
+
+class Scribbler:
+    """A model's ``encoding`` and ``proba_matrix`` that overwrites every row it
+    scores, once scored."""
+
+    def __init__(self, model):
+        self.model, self.encoding = model, model.encoding
+
+    def proba_matrix(self, X):
+        p = self.model.proba_matrix(X)
+        X[:] = 1.0
+        return p
+
+
+def test_a_classifier_that_writes_into_its_rows_leaves_later_decisions_unchanged():
+    train, test = _fixture_split("compas")
+    model = fit_mlp(train, TrainConfig(seed=0, epochs=5), hidden_layers=DESK_HIDDEN_LAYERS)
+    domains, corr = protected_domains(train), fit_extrapolation_models(train)
+    scribbler, probes = Scribbler(model), test.instances()[:30]
+    for _ in range(2):
+        for mutation in MutationStrategy:
+            for ensemble in EnsembleStrategy:
+                args = (domains, mutation, ensemble, corr)
+                expected = fairhome_predict(BlackBox(model), probes, *args).tolist()
+                assert fairhome_predict(scribbler, probes, *args).tolist() == expected
+                singles = [fairhome_predict(scribbler, inst, *args) for inst in probes[:3]]
+                assert singles == expected[:3]
 
 
 def test_engine_path_is_chosen_by_the_classifier(monkeypatch):

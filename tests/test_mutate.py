@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairhome.data import Instance, protected_domains
-from fairhome.errors import UsageError
+from fairhome.errors import DataError, UsageError
 from fairhome.mutate import (
     MutationStrategy,
     fit_extrapolation_models,
@@ -123,6 +123,23 @@ def test_extrapolation_single_level_falls_back_to_mean():
         corr = fit_extrapolation_models(ds)
     assert corr.degenerate
     assert corr.predict([("F",)])[0, 0] == pytest.approx(2.0)
+
+
+def test_extrapolation_models_that_are_not_finite_raise_at_fit_time():
+    """Cells at the float limits fit an inf intercept (four rows over two
+    attributes), and an intercept-only fallback's mean can overflow (one level):
+    the fit raises a ``DataError`` naming the feature, unwarned."""
+    two = make_schema(protected=("p", "q"), extra=(("x", "numeric"), ("z", "numeric")))
+    rows = [("a", "u", 1.0, 1.7e308), ("b", "u", 2.0, 1.7e308), ("a", "v", 3.0, 1.7e308),
+            ("b", "v", 4.0, -1.7e308)]
+    one = make_schema(protected=("p",), extra=(("x", "numeric"),))
+    cases = [(make_dataset(two, rows, [0, 1, 0, 1]), "'z'"),
+             (make_dataset(one, [("a", 1.7e308), ("a", 1.7e308)], [0, 1]), "'x'")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ds, feature in cases:
+            with pytest.raises(DataError, match=f"{feature} has no finite extrapolation model"):
+                fit_extrapolation_models(ds)
 
 
 def test_correlated_mutants_shift_and_clamp():

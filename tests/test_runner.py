@@ -423,6 +423,39 @@ def test_failure_isolation(tmp_path):
     assert by_method["fairhome"].error is None
 
 
+def test_an_extrapolation_fit_that_is_not_finite_fails_the_fairhome1_cells_alone(tmp_path):
+    """Pay at the float limits, far apart by sex, fits an inf coefficient: the
+    extrapolation fit raises, once, and only the fairhome1 cells carry it."""
+    schema = {"attributes": [{"name": "sex", "kind": "categorical"},
+                             {"name": "race", "kind": "categorical"},
+                             {"name": "pay", "kind": "numeric"}],
+              "protected": ["sex", "race"], "label_column": "y", "favorable_value": "yes"}
+    (tmp_path / "limits.schema.json").write_text(json.dumps(schema))
+    rng = np.random.default_rng(0)
+    lines = ["sex,race,pay,y"]
+    for _ in range(60):
+        sex = str(rng.choice(["M", "F"]))
+        lines.append(",".join([sex, str(rng.choice(["W", "N"])),
+                               "1.7e308" if sex == "M" else "-1.7e308",
+                               str(rng.choice(["yes", "no"]))]))
+    (tmp_path / "limits.csv").write_text("\n".join(lines) + "\n")
+    config = ExperimentConfig(
+        dataset_path=str(tmp_path / "limits.csv"),
+        schema_path=str(tmp_path / "limits.schema.json"),
+        methods=("original", "fairhome1", "fairhome"), repetitions=2,
+        fairea_degrees=(0.0, 1.0), fairea_reps=1, output_dir=str(tmp_path / "out"), base_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_experiment(config)
+    assert len(result.records) == 6
+    for record in result.records:
+        if record.method == "fairhome1":
+            assert record.error == "DataError: 'pay' has no finite extrapolation model"
+            assert record.model_fingerprint != ""
+        else:
+            assert record.error is None
+
+
 def fake_records(means_by_method, reps=3):
     records = []
     for method, wc_spd in means_by_method.items():
