@@ -10,6 +10,7 @@ import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
 from itertools import accumulate, repeat
+from operator import itemgetter
 from numbers import Integral, Real
 
 import numpy as np
@@ -124,6 +125,14 @@ class Schema:
     @cached_property  # the schema is frozen; computed once, on first use
     def protected_indices(self) -> tuple[int, ...]:
         return tuple(self.index_of(p) for p in self.protected)
+
+    def protected_codes(self, rows) -> tuple[tuple, np.ndarray]:
+        """The distinct protected value tuples (combinations) of the sequence ``rows``, in
+        order of first appearance, and each row's position among them as an intp array."""
+        numbers: dict = {}
+        codes = [numbers.setdefault(combo, len(numbers))
+                 for combo in zip(*(map(itemgetter(i), rows) for i in self.protected_indices))]
+        return tuple(numbers), np.array(codes, dtype=np.intp)
 
     @classmethod
     def from_json(cls, path) -> "Schema":
@@ -290,8 +299,7 @@ def protected_domains(train: Dataset) -> ProtectedDomains:
     if len(train) == 0:
         raise UsageError("cannot extract protected domains from an empty dataset")
     schema = train.schema
-    idx = schema.protected_indices
-    combos = tuple(sorted({tuple(row[i] for i in idx) for row in train.rows}))
+    combos = tuple(sorted(schema.protected_codes(train.rows)[0]))
     for name, values in zip(schema.protected, zip(*combos)):
         if len(set(values)) == 1:
             warnings.warn(

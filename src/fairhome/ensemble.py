@@ -110,12 +110,10 @@ def _decide_encoded(classifier, instances, domains, mutation, ensemble, corr) ->
     P = member_probabilities(classifier, instances, domains, corr if correlated else None)
     if correlated and corr is None:
         raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
-    groups: dict = {}
-    owns = zip(*([inst.values[i] for inst in instances] for i in domains.schema.protected_indices))
-    for r, own in enumerate(owns):
-        groups.setdefault(own, []).append(r)
+    owns, codes = domains.schema.protected_codes([inst.values for inst in instances])
     decisions = np.empty(len(instances), dtype=int)
-    for own, rows in groups.items():
+    for c, own in enumerate(owns):
+        rows = (codes == c).nonzero()[0]
         # the original first, then its mutants in generate_mutants order
         columns = [0, *(1 + j for j in mutant_positions(own, domains, mutation))]
         decisions[rows] = _decide(P.take(rows, 0).take(columns, 1), ensemble)

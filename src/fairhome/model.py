@@ -7,10 +7,10 @@ is deterministic given (data, config). Each model a fit trains is one parameter
 set: a dataset's rows, labels and seed, and one per-row weight vector. A fit
 trains the sets of alike datasets in lockstep, each bit-identical to a separate
 fit; the runner trains every repetition's model and REW model in one call. A
-step writes gradients only (``_backward``), into one flat buffer, and updates
-every parameter, a view into another, in one subtraction. ``mlp_grad`` returns
-the same gradients, ``mlp_loss_grad`` adds the loss, and ``logistic_loss_grad``
-is its no-hidden-layer case, for finite-difference checking.
+step writes gradients (``_backward``, the one gradient entry) into one flat
+buffer and updates every parameter, a view into another, in one subtraction.
+``mlp_loss_grad`` adds the L2 term and the loss of the same pass's logits, and
+``logistic_loss_grad`` is its no-hidden-layer case, for finite-difference checking.
 """
 
 from __future__ import annotations
@@ -98,40 +98,36 @@ def mlp_forward(weights, biases, X):
 
 
 def _backward(weights, biases, X, y, share, grads_w, grads_b):
-    """Put ``mlp_grad``'s gradients, without the L2 term, in the lists ``grads_w``
-    and ``grads_b``, written into each entry's array (a fresh one for None)."""
-    p, activations, _ = mlp_forward(weights, biases, X)
+    """The net's gradients, without the L2 term, put in the lists ``grads_w`` and
+    ``grads_b``, written into each entry's array (a fresh one for None); returns
+    the forward's logits.
+
+    ``share`` is each row's sample weight divided by the batch's total. The
+    rows ``X`` (..., rows, dim), labels ``y`` and ``share`` (..., rows, 1)
+    broadcast over the leading axes of the parameters; each weight matrix
+    (..., fan_in, fan_out) and bias (..., 1, fan_out) has the shape of its
+    gradient. Each (rows, dim) slice is its own BLAS product.
+    """
+    p, activations, z = mlp_forward(weights, biases, X)
     delta = share * (p - y)
     for layer in range(len(weights) - 1, -1, -1):
         grads_w[layer] = np.matmul(activations[layer].swapaxes(-1, -2), delta, out=grads_w[layer])
         grads_b[layer] = delta.sum(axis=-2, keepdims=True, out=grads_b[layer])
         if layer:
             delta = (delta @ weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0)
-
-
-def mlp_grad(weights, biases, X, y, share, l2):
-    """Per-layer gradients (weights, biases) of ``mlp_loss_grad``'s loss, without the loss.
-
-    ``share`` is each row's sample weight divided by the batch's total. The
-    rows ``X`` (..., rows, dim), labels ``y`` and ``share`` (..., rows, 1)
-    broadcast over the leading axes of the parameters; each weight matrix
-    (..., fan_in, fan_out) and bias (..., 1, fan_out) has the shape of its
-    gradient. Each (rows, dim) slice is its own BLAS product. ``_backward``, the
-    descent's step, writes them into fresh arrays, before the L2 term is added.
-    """
-    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
-    _backward(weights, biases, X, y, share, grads_w, grads_b)
-    for g, W in zip(grads_w, weights):
-        g += l2 * W
-    return grads_w, grads_b
+    return z
 
 
 def mlp_loss_grad(weights, biases, X, y, sample_w, l2):
-    """Loss and per-layer gradients for the feed-forward net."""
+    """Loss and per-layer gradients for the feed-forward net: one ``_backward``
+    pass, whose logits give the loss, and the L2 term added per layer."""
     share = sample_w / sample_w.sum()
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    z = _backward(weights, biases, X, y[:, None], share[:, None], grads_w, grads_b)
+    for g, W in zip(grads_w, weights):
+        g += l2 * W
     penalty = 0.5 * l2 * sum(float(np.sum(W * W)) for W in weights)
-    loss = float(_cross_entropy(mlp_forward(weights, biases, X)[2][:, 0], y, share) + penalty)
-    grads_w, grads_b = mlp_grad(weights, biases, X, y[:, None], share[:, None], l2)
+    loss = float(_cross_entropy(z[:, 0], y, share) + penalty)
     return loss, grads_w, [g[0] for g in grads_b]
 
 
@@ -398,9 +394,7 @@ def favorable(p):
 def reweighting_weights(train: Dataset) -> np.ndarray:
     """Per-row weights (N_s * N_y) / (N * N_sy) equalizing (subgroup, label) mass.
     The counts are exact, so int64 true division rounds as Python's ``int / int``."""
-    idx, codes = train.schema.protected_indices, {}
-    s = np.array([codes.setdefault(tuple(row[i] for i in idx), len(codes)) for row in train.rows],
-                 dtype=np.intp)
+    _, s = train.schema.protected_codes(train.rows)
     y = np.asarray(train.labels, dtype=np.intp)
     sy = 2 * s + y
     return np.bincount(s)[s] * np.bincount(y)[y] / (len(train) * np.bincount(sy)[sy])

@@ -65,14 +65,12 @@ class CorrelationModel:
     def shifted(self, instances, targets) -> np.ndarray:
         """(N, C, len(features)) values of N instances shifted from their own combination
         to each of C targets by the predicted difference, clamped to the training range."""
-        p_idx = self.schema.protected_indices
         f_idx = [self.schema.index_of(f) for f in self.features]
-        own = [tuple(inst.values[i] for i in p_idx) for inst in instances]
-        distinct = {o: r for r, o in enumerate(dict.fromkeys(own))}
+        distinct, own = self.schema.protected_codes([inst.values for inst in instances])
         raw = np.array([[inst.values[i] for i in f_idx] for inst in instances],
                        dtype=float).reshape(len(instances), len(f_idx))  # also for no instances
         with np.errstate(over="ignore", invalid="ignore"):  # the clamp brings back overflows
-            origin = self.predict(list(distinct))[[distinct[o] for o in own], None]
+            origin = self.predict(distinct)[own, None]
             values = np.clip(raw[:, None] + (self.predict(targets) - origin), *self.ranges.T)
         if (undefined := np.isnan(values).any(axis=(0, 1))).any():  # NaN: inf - inf
             raise DataError(f"{self.features[undefined.argmax()]!r} has no finite shift")
@@ -90,12 +88,12 @@ def fit_extrapolation_models(train: Dataset) -> CorrelationModel:
     if not features:
         raise UsageError("no numeric non-protected features to extrapolate")
 
-    # levels come from the rows: protected_domains would warn a second time
-    idx = schema.protected_indices
-    combos = [tuple(row[i] for i in idx) for row in train.rows]
+    # levels come from the rows' combinations: protected_domains would warn a second time
+    combos, codes = schema.protected_codes(train.rows)
     columns = tuple((attr, level) for a, attr in enumerate(schema.protected)
                     for level in sorted({combo[a] for combo in combos})[1:])
-    design = np.hstack([np.ones((len(train), 1)), _indicators(schema.protected, columns, combos)])
+    indicators = _indicators(schema.protected, columns, combos)[codes]  # one row per train row
+    design = np.hstack([np.ones((len(train), 1)), indicators])
     f_idx = [schema.index_of(f) for f in features]
     targets = np.array([[row[i] for i in f_idx] for row in train.rows])
     solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)

@@ -30,6 +30,7 @@ from fairhome.data import (
     split,
 )
 from fairhome.errors import DataError, SchemaError, UsageError
+from fairhome.model import reweighting_weights
 
 from conftest import make_dataset, make_schema
 
@@ -293,6 +294,29 @@ def test_joint_combos_in_lexicographic_order(two_protected_schema):
     ds3 = make_dataset(schema3, [(*combo, 1.0) for combo in reversed(observed)],
                        [1] * len(observed))
     assert protected_domains(ds3).joint_combos == tuple(observed)
+
+
+def test_protected_codes_number_combinations_by_first_appearance():
+    """``Schema.protected_codes``: the distinct protected tuples of the rows, read in
+    the ``protected`` order wherever the attributes sit, first seen first, and each
+    row's position among them; no rows give none. REW's weights, which read this
+    numbering, do not depend on it: a hand example whose first-appearance order is
+    not the sorted one keeps its hand-counted weights."""
+    schema = Schema(attributes=(AttributeSpec("x", "numeric"), AttributeSpec("b", "categorical"),
+                                AttributeSpec("a", "categorical")),
+                    protected=("a", "b"), label_column="y", favorable_value="1")
+    rows = [(0.0, "v", "z"), (1.0, "u", "y"), (2.0, "v", "z"), (3.0, "u", "z"), (4.0, "u", "y")]
+    combos, codes = schema.protected_codes(rows)
+    assert combos == (("z", "v"), ("y", "u"), ("z", "u")) != tuple(sorted(combos))
+    assert codes.dtype == np.intp and codes.tolist() == [0, 1, 0, 2, 1]
+    assert [combos[c] for c in codes] == [(row[2], row[1]) for row in rows]
+
+    combos, codes = schema.protected_codes([])
+    assert combos == () and codes.dtype == np.intp and codes.shape == (0,)
+
+    # (N_s * N_y) / (N * N_sy) with N_s = 2, 2, 1, N_y = 3 (label 1), 2 (label 0), N_sy = 1
+    train = Dataset(schema=schema, rows=rows, labels=[1, 0, 0, 1, 1])
+    assert reweighting_weights(train).tolist() == [6 / 5, 4 / 5, 4 / 5, 3 / 5, 6 / 5]
 
 
 def test_domains_reconstruction_property(rng):

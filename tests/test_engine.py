@@ -137,6 +137,45 @@ def float_limit_case():
     return (*one_feature_case(rows), [Instance(r) for r in rows])
 
 
+# which Hamming distances from its own combination an input's members lie at
+DISTANCES = {MutationStrategy.SINGLE_ATTRIBUTE_ONLY: lambda d: d == 1,
+             MutationStrategy.MULTI_ATTRIBUTE_ONLY: lambda d: d >= 2}
+
+
+def own_loop_decisions(model, probes, domains, mutation, ensemble, corr):
+    """The decisions as the paper states them, sharing no code with either path's
+    selection or reduction: the members are the input and the joint combinations
+    at the strategy's Hamming distances from its own, each scored alone by
+    ``predict_proba``; the vote, mean or weighted mean is a 1-D reduction of those
+    scores, favorable from 0.5 up."""
+    schema = domains.schema
+    protected = [schema.index_of(p) for p in schema.protected]
+    features = [schema.index_of(f) for f in corr.features]
+    at = DISTANCES.get(mutation, lambda d: d >= 1)
+    decisions = []
+    for inst in probes:
+        own = [inst.values[i] for i in protected]
+        targets = [c for c in domains.joint_combos if at(sum(a != b for a, b in zip(c, own)))]
+        members = [inst]
+        shifts = (corr.shifted([inst], targets)[0]
+                  if mutation is MutationStrategy.CORRELATED_FEATURES else [()] * len(targets))
+        for target, shift in zip(targets, shifts):
+            values = list(inst.values)
+            for i, v in [*zip(protected, target), *zip(features, shift)]:
+                values[i] = v
+            members.append(Instance(tuple(values)))
+        p = np.array([model.predict_proba(m) for m in members])
+        if ensemble is EnsembleStrategy.MAJORITY_VOTE:
+            score = np.count_nonzero(p >= 0.5) / len(p)
+        elif ensemble is EnsembleStrategy.AVERAGING:
+            score = p.mean()
+        else:
+            w = np.abs(p - 0.5)
+            score = (w * p).sum() / w.sum() if w.sum() != 0.0 else p.mean()
+        decisions.append(int(score >= 0.5))
+    return decisions
+
+
 @settings(deadline=None, max_examples=150)
 @given(cases())
 @example(float_limit_case())
@@ -152,6 +191,7 @@ def test_engine_decisions_equal_reference_for_batches_and_single_rows(case):
             assert isinstance(batch, np.ndarray) and batch.dtype.kind == "i"
             assert all(type(d) is int for d in singles)
             assert batch.tolist() == reference.tolist() == singles
+            assert singles == own_loop_decisions(model, probes, *args), (mutation, ensemble)
 
 
 @settings(deadline=None, max_examples=150)
@@ -168,6 +208,36 @@ def test_member_probabilities_equal_per_mutant_scores(case):
             columns = [0] + [1 + combos.index(domains.combo_of(m)) for m in mutants]
             expected = [model.predict_proba(m) for m in (inst, *mutants)]
             np.testing.assert_allclose(P[i, columns], expected, rtol=0, atol=1e-12)
+
+
+class Table:
+    """A classifier whose favorable-class probability is a fixed entry per level of
+    its one categorical attribute: each row is one-hot, so its score is the entry."""
+
+    def __init__(self, encoding, schema, table):
+        self.encoding, self.schema, self.table = encoding, schema, np.array(table)
+
+    def proba_matrix(self, X):
+        return X @ self.table
+
+    def predict_proba(self, instance):
+        return float(self.proba_matrix(encode(instance, self.schema, self.encoding)))
+
+
+def test_both_paths_reduce_the_members_in_one_order():
+    """0.2, 0.6 and 0.7 average exactly 0.5 summed in that order, and just below
+    it summed the other way round: the engine reduces an input and its mutants in
+    ``generate_mutants`` order, the original first, as the reference does."""
+    schema = Schema(attributes=(AttributeSpec("p", "categorical"),), protected=("p",),
+                    label_column="y", favorable_value="1")
+    train = Dataset(schema=schema, rows=[("a",), ("b",), ("c",)], labels=[0, 1, 0])
+    table = Table(build_encoding(train), schema, [0.2, 0.6, 0.7])
+    assert np.mean([0.2, 0.6, 0.7]) == 0.5 > np.mean([0.7, 0.6, 0.2])
+    args = (protected_domains(train), MutationStrategy.PROTECTED_ONLY, EnsembleStrategy.AVERAGING)
+    probe = Instance(("a",))
+    assert fairhome_predict(table, [probe], *args).tolist() == [1]
+    assert fairhome_predict(table, probe, *args) == fairhome_predict(BlackBox(table), probe,
+                                                                     *args) == 1
 
 
 class Recorder:

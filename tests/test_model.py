@@ -14,13 +14,13 @@ from fairhome.model import (
     LogisticModel,
     MlpModel,
     TrainConfig,
+    _backward,
     check_weights,
     fit_logistic,
     fit_mlp,
     init_mlp_params,
     logistic_loss_grad,
     mlp_forward,
-    mlp_grad,
     mlp_loss_grad,
     reweighting_weights,
     sigmoid,
@@ -312,7 +312,7 @@ def test_reweighting_equals_the_dict_reference_bit_for_bit(train):
 def reference_logistic_loss_grad(w, b, X, y, sample_w, l2):
     """Logistic regression's loss and gradients as they were computed before it
     trained as the net with no hidden layer: the independent reference for the
-    zero-hidden-layer ``mlp_grad`` and for ``logistic_loss_grad``."""
+    zero-hidden-layer ``_backward`` and for ``logistic_loss_grad``."""
     share = sample_w / sample_w.sum()
     z = X @ w + b
     loss = float(np.sum(share * (np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * np.dot(w, w))
@@ -529,13 +529,23 @@ def test_weights_are_checked_before_training(monkeypatch):
     assert model.fingerprint() == fit_logistic(train, TrainConfig(epochs=1)).fingerprint()
 
 
+def backward_grads(weights, biases, X, y, share, l2):
+    """``_backward``'s gradients in fresh arrays, with the L2 term added per layer."""
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    _backward(weights, biases, X, y, share, grads_w, grads_b)
+    for g, W in zip(grads_w, weights):
+        g += l2 * W
+    return grads_w, grads_b
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
-    """One ``mlp_grad`` call over K stacked parameter sets and weight rows
-    gives, slice for slice, the gradients of K two-dimensional loss-and-gradient
-    calls: with no hidden layer, those of the reference logistic formula (and
-    of ``logistic_loss_grad``); with hidden layers, those of ``mlp_loss_grad``."""
+    """One ``_backward`` call over K stacked parameter sets and weight rows
+    gives, slice for slice and with the L2 term added, the gradients of K
+    two-dimensional loss-and-gradient calls: with no hidden layer, those of the
+    reference logistic formula (and of ``logistic_loss_grad``); with hidden
+    layers, those of ``mlp_loss_grad``."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = rng.integers(0, 2, n).astype(float)
@@ -543,7 +553,7 @@ def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
     share = (sw / sw.sum(axis=1, keepdims=True))[:, :, None]
     l2 = float(rng.choice([0.0, 1e-3]))
     w, b = rng.normal(size=(k, d)), rng.normal(size=k)
-    (gw,), (gb,) = mlp_grad([w[:, :, None]], [b[:, None, None]], X, y[:, None], share, l2)
+    (gw,), (gb,) = backward_grads([w[:, :, None]], [b[:, None, None]], X, y[:, None], share, l2)
     assert gw.shape == (k, d, 1) and gb.shape == (k, 1, 1)
     for j in range(k):
         loss, lw, lb = reference_logistic_loss_grad(w[j], float(b[j]), X, y, sw[j], l2)
@@ -555,7 +565,7 @@ def test_gradient_only_functions_equal_loss_grad_gradients(n, d, k, seed):
     sets = [init_mlp_params(d, (5, 3), seed=seed + j) for j in range(k)]
     weights = [np.stack(layer) for layer in zip(*(ws for ws, _ in sets))]
     biases = [np.stack(layer)[:, None, :] + 0.1 for layer in zip(*(bs for _, bs in sets))]
-    grads_w, grads_b = mlp_grad(weights, biases, X, y[:, None], share, l2)
+    grads_w, grads_b = backward_grads(weights, biases, X, y[:, None], share, l2)
     for j in range(k):
         _, lw, lb = mlp_loss_grad([W[j] for W in weights], [v[j, 0] for v in biases],
                                   X, y, sw[j], l2)
@@ -595,7 +605,7 @@ def test_int_settings_train_as_the_equal_floats(hidden):
 @pytest.mark.parametrize("hidden", [(), (5, 3)])
 def test_forward_and_gradients_leave_their_inputs_alone(rng, hidden):
     """The forward's bias adds and ReLUs work in place on fresh products only:
-    ``mlp_forward``, both ``proba_matrix`` methods, ``mlp_grad`` and
+    ``mlp_forward``, both ``proba_matrix`` methods, ``_backward`` and
     ``mlp_loss_grad`` leave the bytes of their rows, weights and biases as they
     were, with 2-D rows against 2-D and against stacked (K, ...) parameters."""
     n, d, k, l2 = 9, 4, 3, 1e-3
@@ -612,8 +622,8 @@ def test_forward_and_gradients_leave_their_inputs_alone(rng, hidden):
     before = [a.tobytes() for a in inputs]
     calls = [lambda: mlp_forward(one_w, one_b, X), lambda: mlp_forward(weights, biases, X),
              lambda: MlpModel(one_w, one_b, None, None).proba_matrix(X),
-             lambda: mlp_grad(one_w, one_b, X, y[:, None], share, l2),
-             lambda: mlp_grad(weights, biases, X, y[:, None], share, l2),
+             lambda: backward_grads(one_w, one_b, X, y[:, None], share, l2),
+             lambda: backward_grads(weights, biases, X, y[:, None], share, l2),
              lambda: mlp_loss_grad(one_w, one_b, X, y, sw, l2)]
     if not hidden:
         calls.append(lambda: LogisticModel(one_w[0][:, 0], float(one_b[0][0]), None,
