@@ -9,11 +9,11 @@ correlated-features mutation, the numeric ones) rewritten, byte for byte the row
 ``encode`` gives the mutant, and one ``proba_matrix`` call scores every row. The
 protected cells of the members come from a template built once per encoding and
 protected domains and kept with the model (``EncodingMap.member_template``); a call
-builds only its own rows. Any
-other classifier, such as a deployed black box with only ``predict_proba(instance)``,
-is asked once per member built by ``generate_mutants``; that path is also the
-engine's reference. Both paths read the mutation through ``mutant_positions``, so
-an unknown one raises ``UsageError`` on either.
+builds only its own rows. Any other classifier, such as a deployed black box with only
+``predict_proba(instance)``, is asked once per member built by ``generate_mutants``;
+that path is also the engine's reference. Both read the mutation through
+``mutant_positions``, so an unknown one, or correlated-features mutation without a
+shift model, raises ``UsageError`` on either; an empty batch returns an empty array.
 
 Tie conventions follow the decision rule "below 50% is unfavorable, otherwise
 favorable": a probability (or vote split) landing exactly on the boundary
@@ -108,14 +108,12 @@ def _decide_encoded(classifier, instances, domains, mutation, ensemble, corr) ->
     anything else, reduced per own-combination group."""
     correlated = mutation is MutationStrategy.CORRELATED_FEATURES
     P = member_probabilities(classifier, instances, domains, corr if correlated else None)
-    if correlated and corr is None:
-        raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
     owns, codes = domains.schema.protected_codes([inst.values for inst in instances])
     decisions = np.empty(len(instances), dtype=int)
     for c, own in enumerate(owns):
         rows = (codes == c).nonzero()[0]
         # the original first, then its mutants in generate_mutants order
-        columns = [0, *(1 + j for j in mutant_positions(own, domains, mutation))]
+        columns = [0, *(1 + j for j in mutant_positions(own, domains, mutation, corr))]
         decisions[rows] = _decide(P.take(rows, 0).take(columns, 1), ensemble)
     return decisions
 

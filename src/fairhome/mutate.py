@@ -116,14 +116,16 @@ def _hamming(a, b) -> int:
 
 
 def mutant_positions(original_combo, domains: ProtectedDomains,
-                     strategy: MutationStrategy) -> list:
+                     strategy: MutationStrategy, corr: CorrelationModel | None) -> list:
     """Positions in ``domains.joint_combos`` of the combinations an input with
     ``original_combo`` mutates into, in order: protected-only and correlated-features
     take every observed combination but the original's own, single-attribute-only
-    (multi-attribute-only) those at Hamming distance 1 (2 or more); any other value
-    raises ``UsageError``."""
+    (multi-attribute-only) those at Hamming distance 1 (2 or more). Any other value, or
+    correlated-features mutation without a shift model ``corr``, raises ``UsageError``."""
     if not isinstance(strategy, MutationStrategy):
         raise UsageError(f"unknown mutation strategy {strategy!r}")
+    if strategy is MutationStrategy.CORRELATED_FEATURES and corr is None:
+        raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
     positions = [j for j, c in enumerate(domains.joint_combos) if c != original_combo]
     if strategy is MutationStrategy.SINGLE_ATTRIBUTE_ONLY:
         return [j for j in positions if _hamming(domains.joint_combos[j], original_combo) == 1]
@@ -140,14 +142,11 @@ def generate_mutants(
 ) -> MutantSet:
     """Build the mutant set of one instance under the given strategy.
 
-    Candidate protected tuples are the training-observed joint combinations
-    minus the original's own tuple, ordered lexicographically.
+    Its protected tuples are the observed joint combinations ``mutant_positions``
+    picks, in lexicographic order; that call also checks the request.
     """
-    if strategy is MutationStrategy.CORRELATED_FEATURES and corr is None:
-        raise UsageError("correlated-features mutation requires a fitted CorrelationModel")
-
     targets = [domains.joint_combos[j]
-               for j in mutant_positions(domains.combo_of(instance), domains, strategy)]
+               for j in mutant_positions(domains.combo_of(instance), domains, strategy, corr)]
     indices, rows = domains.schema.protected_indices, targets
     if strategy is MutationStrategy.CORRELATED_FEATURES:
         indices += tuple(domains.schema.index_of(f) for f in corr.features)

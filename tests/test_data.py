@@ -97,6 +97,11 @@ def test_load_rejects_multiclass_and_bad_cells(tmp_path, two_protected_schema):
     with pytest.raises(DataError):
         load_dataset(p, two_protected_schema)
 
+    write_csv(p, HEADER, [["M", "W", "1.0", "a", "yes"], ["F", "N", "high", "b", "no"]])
+    with pytest.raises(DataError) as raised:
+        load_dataset(p, two_protected_schema)
+    assert str(raised.value) == f"{p}: line 3: non-numeric cell 'high' for 'score'"
+
 
 def _csv_reader_loop(path, required):
     """What a plain ``csv.reader`` loop over ``path`` finds: the header, then
@@ -226,6 +231,15 @@ def test_schema_validation():
     with pytest.raises(SchemaError):  # at least one protected attribute
         Schema(attributes=(AttributeSpec("a", "categorical"),), protected=(),
                label_column="y", favorable_value="1")
+    sex = AttributeSpec("sex", "categorical")
+    with pytest.raises(SchemaError, match="^duplicate attribute names in schema$"):
+        Schema(attributes=(sex, AttributeSpec("sex", "numeric")), protected=("sex",),
+               label_column="y", favorable_value="1")
+    with pytest.raises(SchemaError, match="^duplicate names in protected list$"):
+        Schema(attributes=(sex,), protected=("sex", "sex"), label_column="y",
+               favorable_value="1")
+    with pytest.raises(SchemaError, match="^unknown attribute 'ghost'$"):
+        make_schema().index_of("ghost")
 
 
 def test_split_sizes_and_determinism(two_protected_schema, rng):

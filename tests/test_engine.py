@@ -430,9 +430,6 @@ def test_engine_edge_inputs():
     for cell in (float("nan"), float("inf"), "3.0", 10**400):
         bad.append((values[:numeric] + (cell,) + values[numeric + 1:], DataError))
     for classifier in (model, BlackBox(model)):
-        for mutation in MutationStrategy:
-            empty = fairhome_predict(classifier, [], domains, mutation, corr=corr)
-            assert empty.shape == (0,) and empty.dtype.kind == "i"
         # every input is checked before either path runs, one at a time or in a batch
         for cells, error in bad:
             for mutation in MutationStrategy:
@@ -445,15 +442,24 @@ def test_engine_edge_inputs():
             with pytest.raises(error):
                 fairhome_predict(classifier, [train.instance(1), Instance(cells)], domains,
                                  MutationStrategy.CORRELATED_FEATURES)
-    with pytest.raises(UsageError, match="CorrelationModel"):
-        fairhome_predict(model, train.instances()[:3], domains,
-                         MutationStrategy.CORRELATED_FEATURES)
 
 
-def test_an_unknown_mutation_strategy_raises_on_both_paths():
-    """A mutation that is not a ``MutationStrategy``, its value string among them,
-    is a ``UsageError`` on both paths and from ``generate_mutants``, raised after
-    the inputs are checked; it is never run as some other strategy."""
+def _outcome(classifier, batch, domains, mutation, ensemble, corr):
+    """What ``fairhome_predict`` answers: its decisions, or its exception's type and message."""
+    try:
+        out = fairhome_predict(classifier, batch, domains, mutation, ensemble, corr)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, np.ndarray):
+        return out.dtype.kind, out.shape, out.tolist()
+    return type(out), out
+
+
+def test_every_request_gets_the_same_answer_on_both_paths():
+    """Every mutation request, good or bad, on every batch shape: the engine and the
+    per-member path give equal decisions, or the same exception type and message.
+    An empty batch is an empty int array whatever the request; a bad input raises
+    before a bad request does; a value string is never run as its strategy."""
     train, test = _fixture_split("german")
     domains = protected_domains(train)
     model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
@@ -461,12 +467,35 @@ def test_an_unknown_mutation_strategy_raises_on_both_paths():
     values = test.rows[0]
     numeric = next(i for i, a in enumerate(train.schema.attributes) if a.kind == "numeric")
     bad = Instance(values[:numeric] + (float("nan"),) + values[numeric + 1:])
-    for mutation in ("correlated_features", "single_attribute_only", None, 3):
-        for classifier in (model, BlackBox(model)):
-            for batch in (test.instance(0), test.instances()[:10]):
-                with pytest.raises(UsageError, match="unknown mutation strategy"):
-                    fairhome_predict(classifier, batch, domains, mutation, corr=corr)
-            with pytest.raises(DataError):
-                fairhome_predict(classifier, [test.instance(0), bad], domains, mutation, corr=corr)
-        with pytest.raises(UsageError, match="unknown mutation strategy"):
-            generate_mutants(test.instance(0), domains, mutation, corr)
+    batches = {"empty": [], "one instance": test.instance(0),
+               "one-element list": [test.instance(0)], "ten instances": test.instances()[:10],
+               "a bad input": [test.instance(0), bad]}
+
+    majority, correlated = EnsembleStrategy.MAJORITY_VOTE, MutationStrategy.CORRELATED_FEATURES
+    # (mutation, ensemble, shift model, the UsageError message or None for a good request)
+    requests = [(m, e, corr, None) for m in MutationStrategy for e in EnsembleStrategy]
+    requests += [(m, majority, corr, f"unknown mutation strategy {m!r}")
+                 for m in ("correlated_features", "single_attribute_only", None, 3)]
+    requests += [(MutationStrategy.PROTECTED_ONLY, e, corr, f"unknown ensemble strategy {e!r}")
+                 for e in ("averaging", None)]
+    requests.append((correlated, majority, None,
+                     "correlated-features mutation requires a fitted CorrelationModel"))
+
+    for mutation, ensemble, shift, message in requests:
+        for name, batch in batches.items():
+            args = (batch, domains, mutation, ensemble, shift)
+            engine = _outcome(model, *args)
+            assert engine == _outcome(BlackBox(model), *args), (mutation, ensemble, shift, name)
+            if name == "empty":
+                assert engine == ("i", (0,), [])
+            elif name == "a bad input":
+                assert engine[0] is DataError
+            elif message is not None:
+                assert engine == (UsageError, message)
+            else:
+                assert engine[0] in ("i", int), (mutation, ensemble, name, engine)
+        # generate_mutants takes no ensemble strategy: it answers the bad mutation requests
+        if message is not None and isinstance(ensemble, EnsembleStrategy):
+            with pytest.raises(UsageError) as raised:
+                generate_mutants(test.instance(0), domains, mutation, shift)
+            assert str(raised.value) == message

@@ -126,6 +126,17 @@ def test_classify_against_interpolated_curve():
     assert classify_case(P(0.225, 0.75), ORIGINAL, baseline) is TradeoffRegion.POOR
 
 
+def test_classify_against_a_flat_last_segment():
+    """Two curve points of equal performance span that level at the lower of their
+    fairness values."""
+    pts = [P(0.3, 0.8), P(0.2, 0.6), P(0.1, 0.6)]
+    baseline = TradeoffBaseline(points=pts, degrees=(0.0, 0.5, 1.0), reps_per_degree=1,
+                                fairness_metric="wc_spd", performance_metric="accuracy")
+    # at performance 0.6 the first segment ends at 0.2 and the flat one reaches 0.1
+    assert classify_case(P(0.15, 0.6), ORIGINAL, baseline) is TradeoffRegion.POOR
+    assert classify_case(P(0.05, 0.6), ORIGINAL, baseline) is TradeoffRegion.GOOD
+
+
 def test_classify_clamps_below_curve_with_warning():
     baseline = hand_baseline()
     with pytest.warns(UserWarning, match="beyond the baseline"):

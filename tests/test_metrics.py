@@ -117,6 +117,8 @@ def test_group_metrics_two_group_forms():
 
     with pytest.raises(UsageError):
         group_metrics(data, "nope")
+    with pytest.raises(UsageError, match="^group list for 'g' has wrong length$"):
+        lp(y_true, y_pred, groups, singles={"g": tuple(groups[1:])})
 
 
 def test_identical_group_behavior_zeroes_group_metrics():

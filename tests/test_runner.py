@@ -548,6 +548,10 @@ def test_cli_run_report_metrics(tmp_path, capsys):
     assert cli_main(["metrics", "--predictions", str(preds_path)]) == 0
     printed = capsys.readouterr().out
     assert "wc_spd=" in printed and "mcc=" in printed
+    # --json prints the same metrics, in the same order, each value as key=value shows it
+    assert cli_main(["metrics", "--predictions", str(preds_path), "--json"]) == 0
+    as_json = json.loads(capsys.readouterr().out)
+    assert [f"{key}={value}" for key, value in as_json.items()] == printed.splitlines()
     # a leading byte-order mark is dropped
     preds_path.write_bytes(codecs.BOM_UTF8 + preds_path.read_bytes())
     assert cli_main(["metrics", "--predictions", str(preds_path)]) == 0
@@ -657,6 +661,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"train": {"epochs": "3"}}, "epochs must be int, got '3'"),
         ({"train": {"learning_rate": "0.1"}}, "learning_rate must be float, got '0.1'"),
         ({"train": {"batch_size": 1.5}}, "batch_size must be int | None, got 1.5"),
+        ({"train": {"epochs": 0}}, "epochs must be >= 1"),
+        ({"train": {"batch_size": 0}}, "batch_size must be >= 1 or None"),
+        ({"model_kind": "svm"}, "unknown model kind 'svm'"),
         ({"train": {"learning_rate": float("nan")}}, "learning_rate must be positive and finite"),
         ({"train": {"learning_rate": float("inf")}}, "learning_rate must be positive and finite"),
         ({"train": {"l2_penalty": float("nan")}}, "l2_penalty must be non-negative and finite"),
