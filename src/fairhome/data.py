@@ -226,8 +226,8 @@ def load_dataset(path, schema: Schema) -> Dataset:
     """Read a headered CSV into a Dataset, binarizing labels against the schema.
 
     Beyond ``read_table``'s checks: SchemaError unless the header holds exactly
-    the schema attributes and the label column, DataError for a bad cell or a
-    label column with more than one non-favorable value (multi-class)."""
+    the schema attributes and the label column, DataError for a bad cell, no data
+    rows or a label column with more than one non-favorable value (multi-class)."""
     lines = read_table(path)
     header = next(lines)
     expected = set(schema.names()) | {schema.label_column}
@@ -241,7 +241,8 @@ def load_dataset(path, schema: Schema) -> Dataset:
     for where, cells in lines:
         rows.append(tuple(_parse_cell(cells[i], a, where) for i, a in attribute_cols))
         raw_labels.append(cells[label_col])
-
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     non_favorable = {v for v in raw_labels if v != schema.favorable_value}
     if len(non_favorable) > 1:
         raise DataError(

@@ -48,11 +48,9 @@ class TradeoffRegion(Enum):
 
 @dataclass
 class TradeoffBaseline:
+    """The curve's points in degree order; ``points[0]`` is the original model's."""
+
     points: list
-    degrees: tuple
-    reps_per_degree: int
-    fairness_metric: str
-    performance_metric: str
 
 
 def majority_class(y_true) -> int:
@@ -124,7 +122,7 @@ def build_baseline(
         raise UsageError(f"unknown fairness metric {fairness_metric!r}")
     if performance_metric not in PERFORMANCE_METRICS:
         raise UsageError(f"unknown performance metric {performance_metric!r}")
-    degrees = check_curve_settings(degrees, reps)
+    check_curve_settings(degrees, reps)
     if curve is None:
         curve = mutation_curve(original_preds, degrees, reps, seed)
     points = [
@@ -134,9 +132,7 @@ def build_baseline(
         )
         for row in curve
     ]
-    return TradeoffBaseline(points=points, degrees=degrees, reps_per_degree=reps,
-                            fairness_metric=fairness_metric,
-                            performance_metric=performance_metric)
+    return TradeoffBaseline(points=points)
 
 
 def _baseline_fairness_at(baseline: TradeoffBaseline, performance: float):
@@ -163,16 +159,13 @@ def _baseline_fairness_at(baseline: TradeoffBaseline, performance: float):
     return end.fairness, True
 
 
-def classify_case(
-    method_point: TradeoffPoint,
-    original_point: TradeoffPoint,
-    baseline: TradeoffBaseline,
-) -> TradeoffRegion:
-    """Place a mitigation case into one of the five trade-off regions."""
-    for other in (original_point, baseline.points[0]):
-        if (method_point.fairness_metric != other.fairness_metric
-                or method_point.performance_metric != other.performance_metric):
-            raise UsageError("points and baseline must share metric names")
+def classify_case(method_point: TradeoffPoint, baseline: TradeoffBaseline) -> TradeoffRegion:
+    """Place a mitigation case into one of the five trade-off regions, relative to
+    the original model, which is the curve's degree-0 point."""
+    original_point = baseline.points[0]
+    if (method_point.fairness_metric != original_point.fairness_metric
+            or method_point.performance_metric != original_point.performance_metric):
+        raise UsageError("points and baseline must share metric names")
 
     better_perf = method_point.performance >= original_point.performance
     better_fair = method_point.fairness < original_point.fairness

@@ -350,23 +350,21 @@ def _classify_rep(config, task, rep, original_preds, records):
     """Fairea-classify every mitigation method of one repetition whose cell in
     ``records`` ran.
 
-    Each (fairness, performance) baseline and original point is built once and
-    shared by every method.
+    Each (fairness, performance) baseline is built once and shared by every
+    method; its degree-0 point is the original model's.
     """
-    flats = {r.method: r.report.to_flat_dict() for r in records if r.report is not None}
-    original_flat = flats.pop("original")
     curve = mutation_curve(original_preds, config.fairea_degrees, config.fairea_reps, rep.seed)
-    pairs = {
-        (fm, pm): (build_baseline(original_preds, fm, pm, config.fairea_degrees,
-                                  config.fairea_reps, rep.seed, curve=curve),
-                   TradeoffPoint(original_flat[fm], original_flat[pm], fm, pm))
+    baselines = {
+        (fm, pm): build_baseline(original_preds, fm, pm, config.fairea_degrees,
+                                 config.fairea_reps, rep.seed, curve=curve)
         for fm in FAIRNESS_METRICS for pm in PERFORMANCE_METRICS
     }
+    flats = {r.method: r.report.to_flat_dict() for r in records
+             if r.report is not None and r.method != "original"}
     cases = []
     for method, flat in flats.items():
-        for (fm, pm), (baseline, original_point) in pairs.items():
-            region = classify_case(TradeoffPoint(flat[fm], flat[pm], fm, pm),
-                                   original_point, baseline)
+        for (fm, pm), baseline in baselines.items():
+            region = classify_case(TradeoffPoint(flat[fm], flat[pm], fm, pm), baseline)
             cases.append(FaireaCase(task, method, rep.index, fm, pm, region.value))
     return cases
 

@@ -256,6 +256,15 @@ def test_split_sizes_and_determinism(two_protected_schema, rng):
         split(ds, 1.5, seed=0)
     with pytest.raises(UsageError, match=r"test_fraction 0.09 leaves no test rows out of 10"):
         split(ds, 0.09, seed=0)
+    # an empty dataset has nothing to split, no protected domains and no encoding
+    empty = make_dataset(two_protected_schema, [], [])
+    for build, message in ((lambda: split(empty, 0.3, seed=0), "cannot split an empty dataset"),
+                           (lambda: protected_domains(empty),
+                            "cannot extract protected domains from an empty dataset"),
+                           (lambda: build_encoding(empty),
+                            "cannot build an encoding from an empty dataset")):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            build()
 
 
 def test_split_different_seeds_differ(two_protected_schema, rng):

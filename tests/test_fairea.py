@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairhome.data import SubgroupKey
-from fairhome.errors import UsageError
+from fairhome.errors import MetricUndefinedError, UsageError
 from fairhome.fairea import (
     TradeoffBaseline,
     TradeoffPoint,
@@ -42,6 +42,35 @@ def test_degree_zero_equals_original_exactly(rng):
     baseline = build_baseline(preds, "wc_spd", "accuracy", seed=3)
     assert baseline.points[0].fairness == original["wc_spd"]
     assert baseline.points[0].performance == original["accuracy"]
+
+
+def test_degree_zero_is_the_original_report_for_every_metric():
+    """The curve's first entry is the original's flat report, every float entry
+    (per-attribute columns included) exactly, whatever the protected attributes,
+    degrees, repetitions and seed. A fixed-seed loop, so every run draws the
+    same cases."""
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 40:
+        n_attrs, n = int(rng.integers(1, 4)), int(rng.integers(8, 80))
+        names = tuple(f"p{i}" for i in range(n_attrs))
+        combos = [tuple(str(rng.integers(0, 3)) for _ in names) for _ in range(n)]
+        preds = LabeledPredictions(
+            y_true=rng.integers(0, 2, n), y_pred=rng.integers(0, 2, n),
+            subgroup_of=tuple(SubgroupKey(tuple(zip(names, c))) for c in combos),
+            single_group_of={name: tuple(c[i] for c in combos) for i, name in enumerate(names)})
+        try:
+            flat = compute_report(preds).to_flat_dict()
+        except MetricUndefinedError:
+            continue  # some metric needs groups these labels do not give
+        interior = np.round(rng.uniform(0.0, 1.0, int(rng.integers(0, 4))), 2).tolist()
+        degrees = (0.0, *sorted(interior), 1.0)
+        curve = mutation_curve(preds, degrees, int(rng.integers(1, 6)),
+                               seed=int(rng.integers(0, 2**31)))
+        original = {key: value for key, value in flat.items() if isinstance(value, float)}
+        assert {f"spd_{name}" for name in names} <= original.keys()
+        assert curve[0] == original
+        checked += 1
 
 
 def test_degree_one_is_constant_predictor(rng):
@@ -94,14 +123,11 @@ def test_build_baseline_validates_inputs(rng):
 
 
 def hand_baseline():
+    # the first point is the original model's, as a built curve's degree 0 is
     pts = [TradeoffPoint(0.3, 0.8, "wc_spd", "accuracy"),
            TradeoffPoint(0.15, 0.7, "wc_spd", "accuracy"),
            TradeoffPoint(0.0, 0.6, "wc_spd", "accuracy")]
-    return TradeoffBaseline(points=pts, degrees=(0.0, 0.5, 1.0), reps_per_degree=1,
-                            fairness_metric="wc_spd", performance_metric="accuracy")
-
-
-ORIGINAL = TradeoffPoint(0.3, 0.8, "wc_spd", "accuracy")
+    return TradeoffBaseline(points=pts)
 
 
 def P(fairness, performance):
@@ -110,45 +136,45 @@ def P(fairness, performance):
 
 def test_classify_quadrants():
     baseline = hand_baseline()
-    assert classify_case(P(0.2, 0.85), ORIGINAL, baseline) is TradeoffRegion.WIN_WIN
-    assert classify_case(P(0.35, 0.85), ORIGINAL, baseline) is TradeoffRegion.INVERTED
-    assert classify_case(P(0.35, 0.75), ORIGINAL, baseline) is TradeoffRegion.LOSE_LOSE
-    assert classify_case(P(0.3, 0.75), ORIGINAL, baseline) is TradeoffRegion.LOSE_LOSE
-    assert classify_case(P(0.3, 0.8), ORIGINAL, baseline) is TradeoffRegion.GOOD
-    assert classify_case(P(0.3, 0.85), ORIGINAL, baseline) is TradeoffRegion.WIN_WIN
+    assert classify_case(P(0.2, 0.85), baseline) is TradeoffRegion.WIN_WIN
+    assert classify_case(P(0.35, 0.85), baseline) is TradeoffRegion.INVERTED
+    assert classify_case(P(0.35, 0.75), baseline) is TradeoffRegion.LOSE_LOSE
+    assert classify_case(P(0.3, 0.75), baseline) is TradeoffRegion.LOSE_LOSE
+    assert classify_case(P(0.3, 0.8), baseline) is TradeoffRegion.GOOD
+    assert classify_case(P(0.3, 0.85), baseline) is TradeoffRegion.WIN_WIN
 
 
 def test_classify_against_interpolated_curve():
     baseline = hand_baseline()
     # at performance 0.75 the interpolated baseline fairness is 0.225
-    assert classify_case(P(0.2, 0.75), ORIGINAL, baseline) is TradeoffRegion.GOOD
-    assert classify_case(P(0.25, 0.75), ORIGINAL, baseline) is TradeoffRegion.POOR
-    assert classify_case(P(0.225, 0.75), ORIGINAL, baseline) is TradeoffRegion.POOR
+    assert classify_case(P(0.2, 0.75), baseline) is TradeoffRegion.GOOD
+    assert classify_case(P(0.25, 0.75), baseline) is TradeoffRegion.POOR
+    assert classify_case(P(0.225, 0.75), baseline) is TradeoffRegion.POOR
 
 
 def test_classify_against_a_flat_last_segment():
     """Two curve points of equal performance span that level at the lower of their
     fairness values."""
     pts = [P(0.3, 0.8), P(0.2, 0.6), P(0.1, 0.6)]
-    baseline = TradeoffBaseline(points=pts, degrees=(0.0, 0.5, 1.0), reps_per_degree=1,
-                                fairness_metric="wc_spd", performance_metric="accuracy")
+    baseline = TradeoffBaseline(points=pts)
     # at performance 0.6 the first segment ends at 0.2 and the flat one reaches 0.1
-    assert classify_case(P(0.15, 0.6), ORIGINAL, baseline) is TradeoffRegion.POOR
-    assert classify_case(P(0.05, 0.6), ORIGINAL, baseline) is TradeoffRegion.GOOD
+    assert classify_case(P(0.15, 0.6), baseline) is TradeoffRegion.POOR
+    assert classify_case(P(0.05, 0.6), baseline) is TradeoffRegion.GOOD
 
 
 def test_classify_clamps_below_curve_with_warning():
     baseline = hand_baseline()
     with pytest.warns(UserWarning, match="beyond the baseline"):
-        region = classify_case(P(0.1, 0.5), ORIGINAL, baseline)
+        region = classify_case(P(0.1, 0.5), baseline)
     assert region is TradeoffRegion.POOR  # final point fairness is 0.0, 0.1 is not below it
 
 
 def test_classify_rejects_mismatched_metrics():
     baseline = hand_baseline()
-    other = TradeoffPoint(0.3, 0.8, "wc_aod", "accuracy")
-    with pytest.raises(UsageError):
-        classify_case(other, ORIGINAL, baseline)
+    for other in (TradeoffPoint(0.3, 0.8, "wc_aod", "accuracy"),
+                  TradeoffPoint(0.3, 0.8, "wc_spd", "mcc")):
+        with pytest.raises(UsageError, match="^points and baseline must share metric names$"):
+            classify_case(other, baseline)
 
 
 def test_classification_partition_property(rng):
@@ -159,7 +185,7 @@ def test_classification_partition_property(rng):
         point = P(float(rng.uniform(0, 0.5)), float(rng.uniform(0.55, 0.9)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            region = classify_case(point, ORIGINAL, baseline)
+            region = classify_case(point, baseline)
         assert isinstance(region, TradeoffRegion)
 
 
@@ -173,7 +199,7 @@ def test_classification_monotone_in_fairness(rng):
         for fairness in np.linspace(0.29, 0.0, 30):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                region = classify_case(P(float(fairness), perf), ORIGINAL, baseline)
+                region = classify_case(P(float(fairness), perf), baseline)
             if region is TradeoffRegion.GOOD:
                 seen_good = True
             if seen_good:

@@ -155,6 +155,13 @@ def test_performance_degenerate_cases():
     assert macro_p == pytest.approx(0.25)  # (0.5 + 0.0) / 2
     assert mcc == 0.0
 
+    # zero rows: no subgroup to average over, no row to score
+    none = lp([], [], [])
+    with pytest.raises(MetricUndefinedError, match="^no subgroups with test rows$"):
+        average_case_metrics(none)
+    with pytest.raises(UsageError, match="^need at least one row$"):
+        performance_metrics(none)
+
 
 def test_mcc_negates_when_classes_swap(rng):
     for _ in range(20):

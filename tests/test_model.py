@@ -15,6 +15,7 @@ from fairhome.model import (
     MlpModel,
     TrainConfig,
     _backward,
+    check_trainable,
     check_weights,
     fit_logistic,
     fit_mlp,
@@ -82,6 +83,10 @@ def test_single_class_training_rejected():
         fit_logistic(ds, TrainConfig())
     with pytest.raises(TrainingError):
         fit_mlp(ds, TrainConfig(), hidden_layers=(4,))
+    one = make_dataset(ds.schema, ds.rows[:1], [1])
+    for check in (lambda: check_trainable(one), lambda: fit_logistic(one, TrainConfig())):
+        with pytest.raises(TrainingError, match="^need at least 2 training rows$"):
+            check()
 
 
 def test_mlp_parameter_count_matches_architecture():
@@ -515,6 +520,9 @@ def test_weights_are_checked_before_training(monkeypatch):
             with pytest.raises(UsageError, match=message):
                 fit(train, TrainConfig(epochs=1), weights=bad)
     for trains, configs, message in (([train, train], TrainConfig(), "config must be"),
+                                     ([train, train], [TrainConfig()],
+                                      "^give one train config and one weights entry per "
+                                      "training set$"),
                                      (train, [TrainConfig()], "config must be"),
                                      (None, TrainConfig(), "train must be"),
                                      ([train, "rows"], [TrainConfig()] * 2, "train must be")):

@@ -123,6 +123,9 @@ def test_extrapolation_single_level_falls_back_to_mean():
         corr = fit_extrapolation_models(ds)
     assert corr.degenerate
     assert corr.predict([("F",)])[0, 0] == pytest.approx(2.0)
+    # a single row is too few to fit even the fallback
+    with pytest.raises(UsageError, match="^need at least 2 rows to fit extrapolation models$"):
+        fit_extrapolation_models(make_dataset(schema, rows[:1], [1]))
 
 
 def test_extrapolation_models_that_are_not_finite_raise_at_fit_time():

@@ -603,9 +603,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     attribute entry that is not an object or a ``protected`` that is not a
     list of strings, has an unknown key at the top level or in an attribute
     entry, or a name, label column or favorable value that is not a string,
-    and a data file with an empty cell: exit 2 before training. An output
-    directory that names a file, lies under one, is empty or is not a valid
-    name: exit 2 before loading any data.
+    and a data file with an empty cell or with a header and no rows: exit 2
+    before training. An output directory that names a file, lies under one, is
+    empty or is not a valid name: exit 2 before loading any data.
     ``fairhome report`` on a missing file or such an ``--out`` (before reading
     any input), a regions file without a region column, with a repeated
     column, a ragged row or a row whose region is not a trade-off region, a
@@ -765,6 +765,7 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
          f"{schema_path}: favorable_value must be str, got None"),
         (json.dumps(schema), empty_cell,
          f"{data_path}: line 3: missing value for 'checking_status'"),
+        (json.dumps(schema), rows[:1], f"{data_path}: no data rows"),
     ):
         schema_path.write_text(schema_text)
         data_path.write_text("\n".join(data_rows))
