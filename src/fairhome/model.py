@@ -138,8 +138,23 @@ def logistic_loss_grad(w, b, X, y, sample_w, l2):
     return loss, gw[:, 0], float(gb[0])
 
 
+class _TrainedModel:
+    """What both trained models share, read off their ``parameters`` and ``proba_matrix``."""
+
+    def predict(self, instances) -> np.ndarray:
+        """The plain model's 0/1 decisions on a sequence of instances."""
+        return favorable(self.proba_matrix(encode_matrix(instances, self.schema, self.encoding)))
+
+    def fingerprint(self) -> str:
+        """The first 16 hex digits of the SHA-256 of ``parameters()``, each as float64 bytes."""
+        h = hashlib.sha256()
+        for p in self.parameters():
+            h.update(np.asarray(p, dtype=np.float64).tobytes())
+        return h.hexdigest()[:16]
+
+
 @dataclass
-class LogisticModel:
+class LogisticModel(_TrainedModel):
     weights: np.ndarray
     bias: float
     encoding: EncodingMap
@@ -154,34 +169,23 @@ class LogisticModel:
     def predict_proba(self, instance: Instance) -> float:
         return float(self.proba_matrix(encode(instance, self.schema, self.encoding)))
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha256(self.weights.tobytes())
-        h.update(np.float64(self.bias).tobytes())
-        return h.hexdigest()[:16]
-
 
 @dataclass
-class MlpModel:
+class MlpModel(_TrainedModel):
     layer_weights: list
     layer_biases: list
     encoding: EncodingMap
     schema: Schema
 
     def parameters(self) -> list:
-        return [*self.layer_weights, *self.layer_biases]
+        """Each layer's weights, then its bias: the order ``fingerprint`` hashes."""
+        return [p for layer in zip(self.layer_weights, self.layer_biases) for p in layer]
 
     def proba_matrix(self, X: np.ndarray) -> np.ndarray:
         return mlp_forward(self.layer_weights, self.layer_biases, np.atleast_2d(X))[0][:, 0]
 
     def predict_proba(self, instance: Instance) -> float:
         return float(self.proba_matrix(encode(instance, self.schema, self.encoding))[0])
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for W, b in zip(self.layer_weights, self.layer_biases):
-            h.update(W.tobytes())
-            h.update(b.tobytes())
-        return h.hexdigest()[:16]
 
 
 def check_trainable(train: Dataset) -> None:

@@ -41,7 +41,6 @@ from .model import (
     TrainConfig,
     check_trainable,
     check_weights,
-    favorable,
     fit_logistic,
     fit_mlp,
     reweighting_weights,
@@ -182,11 +181,8 @@ class ExperimentResult:
 def _method_predictions(method, model, instances, domains, corr):
     """Decisions of ``method`` on the test ``instances``; ``model`` is the
     reweighted one for rew."""
-    from .data import encode_matrix
-
     if method in ("original", "rew"):
-        X = encode_matrix(instances, domains.schema, model.encoding)
-        return favorable(model.proba_matrix(X))
+        return model.predict(instances)
     mutation, strategy = FAIRHOME_VARIANTS[method]
     if method == "fairhome5" and len(domains.schema.protected) == 2:
         # a single multi-attribute mutant leaves only two voters; vote ties are

@@ -8,8 +8,10 @@ so a plain model learns the bias and mitigation has something to remove.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -49,6 +51,11 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _rows(*columns) -> list:
+    """One list of Python values per row of the generated column arrays."""
+    return [list(row) for row in zip(*(column.tolist() for column in columns))]
+
+
 def german_like_rows(n: int = 1000, seed: int = GERMAN_SEED) -> list:
     """Credit-risk rows; privileged subgroup is (male, old)."""
     rng = np.random.default_rng(seed)
@@ -68,13 +75,8 @@ def german_like_rows(n: int = 1000, seed: int = GERMAN_SEED) -> list:
     bias = 0.55 * (sex == "male") + 0.4 * (age_group == "old")
     label = rng.random(n) < _sigmoid(signal + bias - 1.25)
 
-    rows = []
-    for i in range(n):
-        rows.append([
-            checking[i], employment[i], int(duration[i]), int(amount[i]),
-            sex[i], age_group[i], "good" if label[i] else "bad",
-        ])
-    return rows
+    return _rows(checking, employment, duration, amount, sex, age_group,
+                 np.where(label, "good", "bad"))
 
 
 def compas_like_rows(n: int = 1200, seed: int = COMPAS_SEED) -> list:
@@ -95,28 +97,28 @@ def compas_like_rows(n: int = 1200, seed: int = COMPAS_SEED) -> list:
     bias = 0.5 * (sex == "female") + 0.55 * (race == "white") + 0.45 * (age_band == "over25")
     stays_clean = rng.random(n) < _sigmoid(signal + bias - 0.55)
 
-    rows = []
-    for i in range(n):
-        rows.append([
-            int(priors[i]), charge[i], int(juvenile[i]),
-            sex[i], race[i], age_band[i],
-            "no_recid" if stays_clean[i] else "recid",
-        ])
-    return rows
+    return _rows(priors, charge, juvenile, sex, race, age_band,
+                 np.where(stays_clean, "no_recid", "recid"))
+
+
+# fixture kind -> (file stem, schema, generator); each generator's defaults
+# are the bundled fixture's size and seed
+_FIXTURES = {
+    "german": ("german_synth", GERMAN_SCHEMA, german_like_rows),
+    "compas": ("compas_synth", COMPAS_SCHEMA, compas_like_rows),
+}
 
 
 def write_fixture(kind: str, csv_path, schema_path, n: int | None = None,
                   seed: int | None = None) -> None:
-    """Write one fixture CSV plus its schema JSON."""
-    if kind == "german":
-        schema_dict, make, default_n, default_seed = (
-            GERMAN_SCHEMA, german_like_rows, 1000, GERMAN_SEED)
-    elif kind == "compas":
-        schema_dict, make, default_n, default_seed = (
-            COMPAS_SCHEMA, compas_like_rows, 1200, COMPAS_SEED)
-    else:
+    """Write one fixture CSV plus its schema JSON; ``n`` and ``seed`` default
+    to the generator's."""
+    if kind not in _FIXTURES:
         raise ValueError(f"unknown fixture kind {kind!r}")
-    rows = make(n or default_n, seed if seed is not None else default_seed)
+    if n is not None and n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _, schema_dict, make = _FIXTURES[kind]
+    rows = make(**{k: v for k, v in (("n", n), ("seed", seed)) if v is not None})
     header = [a["name"] for a in schema_dict["attributes"]] + [schema_dict["label_column"]]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -128,21 +130,13 @@ def write_fixture(kind: str, csv_path, schema_path, n: int | None = None,
 
 
 def main(argv=None) -> None:
-    import argparse
-
     parser = argparse.ArgumentParser(description="Regenerate the bundled synthetic fixtures.")
     parser.add_argument("out_dir", help="directory for the CSV/schema files")
     args = parser.parse_args(argv)
-
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
-    for kind, stem in (("german", "german_synth"), ("compas", "compas_synth")):
-        write_fixture(
-            kind,
-            os.path.join(args.out_dir, f"{stem}.csv"),
-            os.path.join(args.out_dir, f"{stem}.schema.json"),
-        )
+    for kind, (stem, _, _) in _FIXTURES.items():
+        path = os.path.join(args.out_dir, stem)
+        write_fixture(kind, f"{path}.csv", f"{path}.schema.json")
         print(f"wrote {stem}.csv + {stem}.schema.json")
 
 

@@ -1,13 +1,14 @@
 import hashlib
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairhome.data import Instance, build_encoding, encode_matrix
+from fairhome.data import Instance, Schema, build_encoding, encode_matrix, load_dataset, split
 from fairhome.errors import ShapeError, TrainingError, UsageError
 from fairhome.model import (
     DEFAULT_HIDDEN_LAYERS,
@@ -17,6 +18,7 @@ from fairhome.model import (
     _backward,
     check_trainable,
     check_weights,
+    favorable,
     fit_logistic,
     fit_mlp,
     init_mlp_params,
@@ -29,6 +31,7 @@ from fairhome.model import (
 
 from conftest import make_dataset, make_schema, random_dataset
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCHEMA_1P = make_schema(protected=("sex",), extra=(("x1", "numeric"), ("x2", "numeric")))
 
 
@@ -148,6 +151,25 @@ def test_fingerprint_format():
                    layer_biases=[np.array([0.1, -0.2]), np.array([0.3])],
                    encoding=encoding, schema=schema)
     assert mlp.fingerprint() == digest(1.0, -2.0, 0.25, 3.5, 0.1, -0.2, 4.0, -0.5, 0.3)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_predict_is_each_instances_decision_and_both_models_fingerprint_alike(kind):
+    """``predict`` gives, on a fixture split, the decision ``predict_proba``
+    gives each instance alone, and an empty int array for no instances; a
+    logistic model fingerprints as the net with no hidden layer and its parameters."""
+    schema = Schema.from_json(FIXTURES / "german_synth.schema.json")
+    train, test = split(load_dataset(FIXTURES / "german_synth.csv", schema), 0.3, 42)
+    config = TrainConfig(seed=42)
+    m = fit_logistic(train, config) if kind == "logistic" else fit_mlp(train, config, (16, 8))
+    decisions = m.predict(test.instances())
+    assert decisions.dtype == int and 0 < decisions.sum() < len(test)
+    assert decisions.tolist() == [int(favorable(m.predict_proba(i))) for i in test.instances()]
+    empty = m.predict([])
+    assert empty.shape == (0,) and empty.dtype == int
+    if kind == "logistic":
+        net = MlpModel([m.weights[:, None]], [np.array([m.bias])], m.encoding, m.schema)
+        assert m.fingerprint() == net.fingerprint()
 
 
 def test_predict_proba_in_range_property(rng):

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fairhome.data import Schema, load_dataset, protected_domains
 from fairhome.synth import compas_like_rows, german_like_rows, write_fixture
@@ -19,6 +20,13 @@ def test_bundled_fixtures_match_generator(tmp_path):
         assert (tmp_path / "f.csv").read_bytes() == (FIXTURES / f"{stem}.csv").read_bytes()
         assert (tmp_path / "f.schema.json").read_bytes() == \
             (FIXTURES / f"{stem}.schema.json").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_size_below_one_is_rejected_before_any_file_is_written(tmp_path, n):
+    with pytest.raises(ValueError, match=r"\bn\b.*>= 1"):
+        write_fixture("german", tmp_path / "f.csv", tmp_path / "f.schema.json", n=n)
+    assert not list(tmp_path.iterdir())
 
 
 def test_german_fixture_loads_with_planted_bias():
