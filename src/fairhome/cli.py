@@ -45,9 +45,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    require_files(args.records, *filter(None, [args.regions]))
+    require_files(args.records, *([args.regions] if args.regions is not None else []))
     require_output_dir(args.out)
-    case_rows = read_regions_csv(args.regions) if args.regions else None
+    case_rows = read_regions_csv(args.regions) if args.regions is not None else None
     rows = read_records_csv(args.records)
     os.makedirs(args.out, exist_ok=True)
     for path in write_tables(args.out, rows, case_rows).values():

@@ -64,6 +64,7 @@ RECORD_HEAD = ("task", "method", "repetition", "seed", "model_fingerprint", "sta
 REGIONS = tuple(r.value for r in TradeoffRegion)
 IMPROVEMENT_COLUMNS = ("task", "method", "metric", "original_mean", "method_mean",
                        "absolute_change", "relative_change_pct")
+DISTRIBUTION_COLUMNS = ("method", *REGIONS, "total", "beats_baseline_pct")
 
 
 @dataclass
@@ -421,30 +422,23 @@ def region_distribution(case_rows) -> list:
     for r in case_rows:
         by_method.setdefault(r["method"], []).append(r["region"])
     out = []
-    for method in sorted(by_method):
-        regions = by_method[method]
+    for method, regions in sorted(by_method.items()):
         counts = {name: regions.count(name) for name in REGIONS}
-        total = len(regions)
         beats = counts[TradeoffRegion.WIN_WIN.value] + counts[TradeoffRegion.GOOD.value]
-        out.append({
-            "method": method, **counts, "total": total,
-            "beats_baseline_pct": 100.0 * beats / total if total else 0.0,
-        })
+        out.append(dict(zip(DISTRIBUTION_COLUMNS, (method, *counts.values(), len(regions),
+                                                   100.0 * beats / len(regions)))))
     return out
 
 
-def _write_csv(path, rows, fieldnames) -> None:
+def _write_csv(output_dir, name, rows, columns) -> str:
+    """Write ``rows`` under the header ``columns`` to the file ``name`` in
+    ``output_dir``; returns its path."""
+    path = os.path.join(output_dir, name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def _record_fieldnames(rows) -> list:
-    core = [k for k in FAIRNESS_METRICS + PERFORMANCE_METRICS if any(k in r for r in rows)]
-    extra = sorted({k for r in rows for k in r} - set(RECORD_HEAD) - set(core))
-    return [*RECORD_HEAD, *core, *extra]
+        writer.writerows(rows)
+    return path
 
 
 def write_tables(output_dir, rows, case_rows) -> dict:
@@ -453,17 +447,14 @@ def write_tables(output_dir, rows, case_rows) -> dict:
 
     Returns the paths written.
     """
-    paths = {"improvement": os.path.join(output_dir, "improvement.csv")}
-    _write_csv(paths["improvement"], improvement_table(rows), IMPROVEMENT_COLUMNS)
+    paths = {"improvement": _write_csv(output_dir, "improvement.csv", improvement_table(rows),
+                                       IMPROVEMENT_COLUMNS)}
     if any(r.get("method") == "fairhome" for r in rows):
-        wtl_rows = wtl_matrix(rows)
-        paths["wtl"] = os.path.join(output_dir, "win_tie_loss.csv")
-        columns = ["metric"] + sorted({k for r in wtl_rows for k in r} - {"metric"})
-        _write_csv(paths["wtl"], wtl_rows, columns)
+        wtl_rows = wtl_matrix(rows)  # one row per fairness metric, each with the same columns
+        paths["wtl"] = _write_csv(output_dir, "win_tie_loss.csv", wtl_rows, list(wtl_rows[0]))
     if case_rows is not None:
-        paths["regions"] = os.path.join(output_dir, "region_distribution.csv")
-        _write_csv(paths["regions"], region_distribution(case_rows),
-                   ["method", *REGIONS, "total", "beats_baseline_pct"])
+        paths["regions"] = _write_csv(output_dir, "region_distribution.csv",
+                                      region_distribution(case_rows), DISTRIBUTION_COLUMNS)
     return paths
 
 
@@ -475,13 +466,14 @@ def emit_report(records, fairea_cases, output_dir) -> dict:
     """
     os.makedirs(output_dir, exist_ok=True)
     rows = [r.to_row() for r in records]
-    paths = {"metrics": os.path.join(output_dir, "metrics.csv")}
-    _write_csv(paths["metrics"], rows, _record_fieldnames(rows))
+    core = [k for k in FAIRNESS_METRICS + PERFORMANCE_METRICS if any(k in r for r in rows)]
+    extra = sorted({k for r in rows for k in r} - set(RECORD_HEAD) - set(core))
+    paths = {"metrics": _write_csv(output_dir, "metrics.csv", rows, [*RECORD_HEAD, *core, *extra])}
 
     case_rows = [c.to_row() for c in fairea_cases] or None
     if case_rows:
-        paths["fairea_cases"] = os.path.join(output_dir, "fairea_regions.csv")
-        _write_csv(paths["fairea_cases"], case_rows, [f.name for f in fields(FaireaCase)])
+        paths["fairea_cases"] = _write_csv(output_dir, "fairea_regions.csv", case_rows,
+                                           [f.name for f in fields(FaireaCase)])
     paths.update(write_tables(output_dir, rows, case_rows))
     return paths
 
@@ -505,6 +497,19 @@ def write_manifest(config: ExperimentConfig, records, output_dir) -> str:
     return path
 
 
+def _read_rows(path, required, check) -> list:
+    """The rows of ``path`` as dicts keyed by its header; ``check(where, row)`` sees
+    each as it is read. ``read_table`` checks the file and its ``required`` columns."""
+    lines = read_table(path, required=required)
+    header = next(lines)
+    rows = []
+    for where, cells in lines:
+        row = dict(zip(header, cells))
+        check(where, row)
+        rows.append(row)
+    return rows
+
+
 def read_records_csv(path) -> list:
     """Load a metrics.csv back into row dicts (numbers parsed where possible).
 
@@ -512,11 +517,8 @@ def read_records_csv(path) -> list:
     UsageError when a cell that ran holds a metric value that is not a finite number.
     """
     text = {*RECORD_HEAD, "excluded_subgroups"} - {"repetition", "seed"}
-    lines = read_table(path, required=("task", "method"))
-    header = next(lines)
-    rows = []
-    for where, cells in lines:
-        row = dict(zip(header, cells))
+
+    def parse(where, row):
         ran = row.get("status", "ok") == "ok"
         for k, v in row.items():
             if k not in text:
@@ -525,20 +527,17 @@ def read_records_csv(path) -> list:
             if (ran and k in FAIRNESS_METRICS + PERFORMANCE_METRICS
                     and not (isinstance(row[k], float) and math.isfinite(row[k]))):
                 raise UsageError(f"{where}: {k} must be a finite number, got {v!r}")
-        rows.append(row)
-    return rows
+
+    return _read_rows(path, ("task", "method"), parse)
 
 
 def read_regions_csv(path) -> list:
     """Load a fairea_regions.csv back into row dicts. ``read_table`` checks the
     file and its columns; UsageError when a region is not a trade-off region."""
-    lines = read_table(path, required=("method", "region"))
-    header = next(lines)
-    rows = []
-    for where, cells in lines:
-        row = dict(zip(header, cells))
+
+    def check(where, row):
         if row["region"] not in REGIONS:
             raise UsageError(f"{where}: region must be one of {list(REGIONS)}, "
                              f"got {row['region']!r}")
-        rows.append(row)
-    return rows
+
+    return _read_rows(path, ("method", "region"), check)

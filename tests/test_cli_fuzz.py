@@ -126,8 +126,7 @@ def _no_training(*args, **kwargs):
     raise RuntimeError("no model is trained in this test")
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_run_exits_0_1_or_2_on_any_config_and_schema(data):
     config = data.draw(mutated(CONFIG).map(_bounded).flatmap(file_bytes), label="config")

@@ -534,8 +534,15 @@ def test_cli_run_report_metrics(tmp_path, capsys):
     assert cli_main(["report", "--records", str(out_dir / "metrics.csv"),
                      "--regions", str(out_dir / "fairea_regions.csv"),
                      "--out", str(tmp_path / "rep")]) == 0
-    assert (tmp_path / "rep" / "improvement.csv").exists()
-    assert (tmp_path / "rep" / "region_distribution.csv").exists()
+    for name in ("improvement.csv", "win_tie_loss.csv", "region_distribution.csv"):
+        assert (tmp_path / "rep" / name).read_bytes() == (out_dir / name).read_bytes()
+    # a regions file with no rows: region_distribution.csv is its header alone
+    no_cases = tmp_path / "no_cases.csv"
+    no_cases.write_text("task,method,repetition,fairness_metric,performance_metric,region\n")
+    assert cli_main(["report", "--records", str(out_dir / "metrics.csv"),
+                     "--regions", str(no_cases), "--out", str(tmp_path / "rep0")]) == 0
+    assert ((tmp_path / "rep0" / "region_distribution.csv").read_bytes()
+            == b"method,win-win,good,poor,lose-lose,inverted,total,beats_baseline_pct\r\n")
 
     preds_path = tmp_path / "preds.csv"
     lines = ["y_true,y_pred,sex,race"]
@@ -606,8 +613,8 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     and a data file with an empty cell or with a header and no rows: exit 2
     before training. An output directory that names a file, lies under one, is
     empty or is not a valid name: exit 2 before loading any data.
-    ``fairhome report`` on a missing file or such an ``--out`` (before reading
-    any input), a regions file without a region column, with a repeated
+    ``fairhome report`` on a missing file, an empty path or such an ``--out``
+    (before reading any input), a regions file without a region column, with a repeated
     column, a ragged row or a row whose region is not a trade-off region, a
     metrics file that is empty, without a task or method column, with a repeated
     column or a ragged row, or a metric value that is not a finite number in a
@@ -773,10 +780,13 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     # a test fraction that leaves no test rows, which the data's row count shows
     config_path.write_text(json.dumps({**base, "test_fraction": 1e-300}))
     run_exits_2("fairhome: error: test_fraction 1e-300 leaves no test rows out of 1000")
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("task,method\n")
     for args in (["--records", missing],
-                 ["--records", str(FIXTURES / "german_synth.csv"), "--regions", missing]):
+                 ["--records", str(FIXTURES / "german_synth.csv"), "--regions", missing],
+                 ["--records", str(metrics), "--regions", ""]):
         assert cli_main(["report", *args, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr() == ("", f"fairhome: error: no such file: {missing}\n")
+        assert capsys.readouterr() == ("", f"fairhome: error: no such file: {args[-1]}\n")
         assert not (tmp_path / "out").exists()
     assert cli_main(["metrics", "--predictions", missing]) == 2
     assert capsys.readouterr() == ("", f"fairhome: error: no such file: {missing}\n")

@@ -90,7 +90,7 @@ VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -3.0]),
                    st.floats(allow_nan=False))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.lists(VALUES, min_size=1, max_size=10), st.lists(VALUES, min_size=1, max_size=10))
 @example([0.0, -0.0, 1.0], [-0.0, 0.5])
 @example([0.0, 1.0, 2.0], [-0.0, 0.5, 3.0])
