@@ -70,8 +70,9 @@ class CorrelationModel:
         raw = np.array([[inst.values[i] for i in f_idx] for inst in instances],
                        dtype=float).reshape(len(instances), len(f_idx))  # also for no instances
         with np.errstate(over="ignore", invalid="ignore"):  # the clamp brings back overflows
-            origin = self.predict(distinct)[own, None]
-            values = np.clip(raw[:, None] + (self.predict(targets) - origin), *self.ranges.T)
+            predicted = self.predict([*targets, *distinct])  # row by row: one call for both
+            origin = predicted[len(targets):][own, None]
+            values = np.clip(raw[:, None] + (predicted[:len(targets)] - origin), *self.ranges.T)
         if (undefined := np.isnan(values).any(axis=(0, 1))).any():  # NaN: inf - inf
             raise DataError(f"{self.features[undefined.argmax()]!r} has no finite shift")
         return values

@@ -514,11 +514,14 @@ def read_records_csv(path) -> list:
     """Load a metrics.csv back into row dicts (numbers parsed where possible).
 
     ``read_table`` checks the file and its ``task`` and ``method`` columns;
-    UsageError when a cell that ran holds a metric value that is not a finite number.
+    UsageError when a cell that ran holds a metric value that is not a finite
+    number, or a method is named ``metric``, win_tie_loss.csv's label column.
     """
     text = {*RECORD_HEAD, "excluded_subgroups"} - {"repetition", "seed"}
 
     def parse(where, row):
+        if row["method"] == "metric":
+            raise UsageError(f"{where}: method 'metric' names win_tie_loss.csv's label column")
         ran = row.get("status", "ok") == "ok"
         for k, v in row.items():
             if k not in text:

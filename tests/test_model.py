@@ -157,7 +157,9 @@ def test_fingerprint_format():
 def test_predict_is_each_instances_decision_and_both_models_fingerprint_alike(kind):
     """``predict`` gives, on a fixture split, the decision ``predict_proba``
     gives each instance alone, and an empty int array for no instances; a
-    logistic model fingerprints as the net with no hidden layer and its parameters."""
+    logistic model scores as ``sigmoid(X @ weights + bias)`` bit for bit, on the
+    split and on random rows, and is the net with no hidden layer: its parameters
+    are the net's, ``weights`` a view of its weight column, and it fingerprints alike."""
     schema = Schema.from_json(FIXTURES / "german_synth.schema.json")
     train, test = split(load_dataset(FIXTURES / "german_synth.csv", schema), 0.3, 42)
     config = TrainConfig(seed=42)
@@ -170,6 +172,14 @@ def test_predict_is_each_instances_decision_and_both_models_fingerprint_alike(ki
     if kind == "logistic":
         net = MlpModel([m.weights[:, None]], [np.array([m.bias])], m.encoding, m.schema)
         assert m.fingerprint() == net.fingerprint()
+        X = encode_matrix(test.instances(), test.schema, m.encoding)
+        X = np.vstack([X, np.random.default_rng(0).uniform(-1, 2, (500, X.shape[1]))])
+        assert np.array_equal(m.proba_matrix(X), sigmoid(X @ m.weights + m.bias))
+        assert [m.predict_proba(i) for i in test.instances()] == [
+            float(sigmoid(x @ m.weights + m.bias)) for x in X[:len(test)]]
+        W, b = m.parameters()
+        assert W.shape == (m.encoding.dim, 1) and b.shape == (1,)
+        assert np.shares_memory(m.weights, W) and issubclass(LogisticModel, MlpModel)
 
 
 def test_predict_proba_in_range_property(rng):

@@ -617,9 +617,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
     (before reading any input), a regions file without a region column, with a repeated
     column, a ragged row or a row whose region is not a trade-off region, a
     metrics file that is empty, without a task or method column, with a repeated
-    column or a ragged row, or a metric value that is not a finite number in a
-    cell that ran: exit 2 before writing anything. ``fairhome metrics`` on a
-    missing file: exit 2."""
+    column or a ragged row, a metric value that is not a finite number in a
+    cell that ran, or a method named ``metric``: exit 2 before writing
+    anything. ``fairhome metrics`` on a missing file: exit 2."""
     import fairhome.runner
     from fairhome.data import load_dataset
 
@@ -833,6 +833,8 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
          "line 3: mcc must be a finite number, got ''"),
         *((f"task,method,wc_spd\nt,fairhome,0.1\nt,fairhome,{v}\n",
            f"line 3: wc_spd must be a finite number, got '{v}'") for v in ("nan", "inf", "-inf")),
+        ("task,method,wc_spd\nt,fairhome,0.1\nt,metric,0.2\n",
+         "line 3: method 'metric' names win_tie_loss.csv's label column"),
     ):
         records.write_text(text)
         assert cli_main(["report", "--records", str(records),
