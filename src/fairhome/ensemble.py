@@ -76,8 +76,7 @@ def _decide(P: np.ndarray, strategy: EnsembleStrategy) -> np.ndarray:
 
 def aggregate(inputs: EnsembleInputs, strategy: EnsembleStrategy) -> int:
     """Combine member probabilities into a single {0,1} decision."""
-    p = np.asarray(inputs.probabilities, dtype=float)
-    return int(_decide(p[None, :], strategy)[0])
+    return int(_decide(np.array([inputs.probabilities], dtype=float), strategy)[0])
 
 
 def member_probabilities(classifier, instances, domains: ProtectedDomains,
@@ -97,7 +96,7 @@ def member_probabilities(classifier, instances, domains: ProtectedDomains,
 
     if corr is not None:
         shifted = corr.shifted(instances, combos)  # (N, C, features)
-        for i, values in zip(map(schema.index_of, corr.features), shifted.transpose(2, 0, 1)):
+        for i, values in zip(corr.feature_indices, shifted.transpose(2, 0, 1)):
             rows[:, 1:, encoding.starts[i]] = encoding.blocks[i].scale(values)
 
     return classifier.proba_matrix(rows.reshape(-1, encoding.dim)).reshape(rows.shape[:2])
@@ -120,8 +119,7 @@ def _decide_encoded(classifier, instances, domains, mutation, ensemble, corr) ->
 
 def _decide_one(classifier, instance, domains, mutation, ensemble, corr) -> int:
     """The black-box path: one ``predict_proba`` call per member."""
-    mutant_set = generate_mutants(instance, domains, mutation, corr)
-    members = [instance, *mutant_set.mutants]
+    members = [instance, *generate_mutants(instance, domains, mutation, corr).mutants]
     probabilities = tuple(classifier.predict_proba(m) for m in members)
     return aggregate(EnsembleInputs(probabilities), ensemble)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import astuple, dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import TrainingError, UsageError
 
 DEFAULT_HIDDEN_LAYERS = (64, 32, 16, 8, 4)
 # a step's scalar operands as 0-d float64 arrays, which a ufunc takes without converting
-_ZERO, _ONE, _CLIP_LO, _CLIP_HI = (np.array(v) for v in (0.0, 1.0, -500.0, 500.0))
+_ZERO, _ONE, _CLIP_LO = (np.array(v) for v in (0.0, 1.0, -500.0))
 
 
 @dataclass
@@ -73,8 +74,8 @@ def check_weights(weights) -> np.ndarray:
 
 
 def sigmoid(z):
-    # np.minimum/np.maximum clip as np.clip does, with less overhead per call
-    return _ONE / (_ONE + np.exp(-np.maximum(np.minimum(z, _CLIP_HI), _CLIP_LO)))
+    # clamped below only, to keep exp finite: above z ~ 37, 1 + e^-z already rounds to 1.0
+    return _ONE / (_ONE + np.exp(-np.maximum(z, _CLIP_LO)))
 
 
 def _cross_entropy(z, y, share):
@@ -376,9 +377,14 @@ def fit_mlp(train, config, hidden_layers=DEFAULT_HIDDEN_LAYERS, *, weights=None)
     """Fully-connected net with ReLU hidden layers and a sigmoid output unit.
 
     Returns the model, one model per entry of ``weights`` as a list, or one
-    such result per dataset of a sequence, as ``fit_logistic`` does.
+    such result per dataset of a sequence, as ``fit_logistic`` does. Every
+    width in ``hidden_layers`` must be a positive integer (not a bool).
     """
-    return _fit(train, config, hidden_layers, weights, MlpModel)
+    message = f"hidden_layers must be a sequence of positive int widths, got {hidden_layers!r}"
+    widths = _listed(hidden_layers, message, Integral)
+    if not all(w > 0 and not isinstance(w, bool) for w in widths):
+        raise UsageError(message)
+    return _fit(train, config, widths, weights, MlpModel)
 
 
 def favorable(p):

@@ -53,6 +53,9 @@ class CorrelationModel:
     ranges: np.ndarray  # (len(features), 2): each feature's train min and max
     degenerate: bool = False
 
+    def __post_init__(self):  # each feature's schema column, resolved once
+        self.feature_indices = tuple(map(self.schema.index_of, self.features))
+
     def predict(self, combos) -> np.ndarray:
         """(len(combos), len(features)) predictions: one matrix product, summed column
         by column as a per-feature dot product sums (a BLAS product may round otherwise)."""
@@ -65,10 +68,9 @@ class CorrelationModel:
     def shifted(self, instances, targets) -> np.ndarray:
         """(N, C, len(features)) values of N instances shifted from their own combination
         to each of C targets by the predicted difference, clamped to the training range."""
-        f_idx = [self.schema.index_of(f) for f in self.features]
         distinct, own = self.schema.protected_codes([inst.values for inst in instances])
-        raw = np.array([[inst.values[i] for i in f_idx] for inst in instances],
-                       dtype=float).reshape(len(instances), len(f_idx))  # also for no instances
+        raw = np.array([[inst.values[i] for i in self.feature_indices] for inst in instances],
+                       dtype=float).reshape(len(instances), len(self.features))  # also for none
         with np.errstate(over="ignore", invalid="ignore"):  # the clamp brings back overflows
             predicted = self.predict([*targets, *distinct])  # row by row: one call for both
             origin = predicted[len(targets):][own, None]
@@ -150,7 +152,7 @@ def generate_mutants(
                for j in mutant_positions(domains.combo_of(instance), domains, strategy, corr)]
     indices, rows = domains.schema.protected_indices, targets
     if strategy is MutationStrategy.CORRELATED_FEATURES:
-        indices += tuple(domains.schema.index_of(f) for f in corr.features)
+        indices += corr.feature_indices
         shifted = corr.shifted([instance], targets)[0].tolist()
         rows = [(*combo, *values) for combo, values in zip(targets, shifted)]
 

@@ -45,7 +45,7 @@ from .model import (
     fit_mlp,
     reweighting_weights,
 )
-from .mutate import MutationStrategy, fit_extrapolation_models
+from .mutate import MutationStrategy, fit_extrapolation_models, mutant_positions
 from .stats import LOSS, TIE, WIN, win_tie_loss
 
 DESK_HIDDEN_LAYERS = (16, 8)
@@ -185,12 +185,13 @@ def _method_predictions(method, model, instances, domains, corr):
     if method in ("original", "rew"):
         return model.predict(instances)
     mutation, strategy = FAIRHOME_VARIANTS[method]
-    if method == "fairhome5" and len(domains.schema.protected) == 2:
-        # a single multi-attribute mutant leaves only two voters; vote ties are
-        # meaningless there, so fall back to probability averaging
+    if method == "fairhome5" and any(len(mutant_positions(own, domains, mutation, None)) == 1
+                                     for own in domains.joint_combos):
+        # an observed combination with a single multi-attribute mutant leaves only two
+        # voters; vote ties are meaningless there, so fall back to probability averaging
         warnings.warn(
-            "fairhome5 with 2 protected attributes yields 2-member ensembles; "
-            "using averaging instead of majority vote",
+            f"fairhome5 with {len(domains.schema.protected)} protected attributes yields "
+            "2-member ensembles; using averaging instead of majority vote",
             stacklevel=2,
         )
         strategy = EnsembleStrategy.AVERAGING

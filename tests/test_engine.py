@@ -337,6 +337,28 @@ def test_runner_variants_match_reference_on_fixtures(kind, model_kind):
             assert fast.tolist() == slow.tolist(), method
 
 
+def test_fairhome1_looks_up_no_attribute_by_name_per_call(monkeypatch):
+    """A shift model resolves its features' schema columns once, when it is
+    built: after that, fairhome1's decisions on both paths, and its mutants,
+    look up no attribute by name and equal those made before."""
+    train, test = _fixture_split("compas")
+    domains, corr = protected_domains(train), fit_extrapolation_models(train)
+    model = fit_logistic(train, TrainConfig(seed=0, epochs=5))
+    assert corr.feature_indices == tuple(map(train.schema.index_of, corr.features))
+    mutation = MutationStrategy.CORRELATED_FEATURES
+    args = (domains, mutation, EnsembleStrategy.MAJORITY_VOTE, corr)
+    before = fairhome_predict(model, test.instances(), *args).tolist()
+    mutants = generate_mutants(test.instance(0), domains, mutation, corr)
+
+    def looked_up(schema, name):
+        raise AssertionError(f"looked up {name!r}")
+
+    monkeypatch.setattr(Schema, "index_of", looked_up)
+    for classifier in (model, BlackBox(model)):
+        assert fairhome_predict(classifier, test.instances(), *args).tolist() == before
+    assert generate_mutants(test.instance(0), domains, mutation, corr) == mutants
+
+
 def test_one_encoding_serves_interleaved_domains():
     """Calls with two domains, in the order A, B, A, on one model: B lacks a
     joint combination that A has, and each call matches the per-member path."""

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -180,6 +181,48 @@ def test_predict_is_each_instances_decision_and_both_models_fingerprint_alike(ki
         W, b = m.parameters()
         assert W.shape == (m.encoding.dim, 1) and b.shape == (1,)
         assert np.shares_memory(m.weights, W) and issubclass(LogisticModel, MlpModel)
+
+
+def test_sigmoid_is_the_two_sided_clamp_formula_bit_for_bit():
+    """``sigmoid`` clamps its logits below -500 only: above about 37, 1 + e^-z
+    already rounds to 1.0, so it equals the formula clamped on both sides bit for
+    bit, over the infinities, NaN, the clamp bounds, 37, the edge of ``exp``'s
+    range and 1e308 with their neighbouring floats, and random logits. Below
+    -500 the clamp changes p, so a formula without it differs there."""
+    edges = np.array([500.0, 709.8, 1e308, 37.0])
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    z = np.concatenate([near, -near, [np.inf, -np.inf, np.nan, 0.0, -0.0],
+                        np.random.default_rng(0).normal(0, 300, 2000)])
+    with np.errstate(over="ignore"):
+        clamped = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+        bare = 1.0 / (1.0 + np.exp(-z))
+    p = sigmoid(z)
+    assert p.tobytes() == clamped.tobytes()
+    assert np.array([sigmoid(v) for v in z.tolist()]).tobytes() == clamped.tobytes()
+    below = z < -500
+    assert below.sum() > 10 and (p[below] != bare[below]).all() and (p[~np.isnan(z)] > 0).all()
+
+
+def test_fit_mlp_rejects_widths_that_are_not_positive_integers(monkeypatch):
+    """Each hidden-layer width must be a positive integer, and not a bool: any
+    other ``hidden_layers`` raises a UsageError naming it before a descent starts.
+    A numpy integer, a list or a generator of widths trains as the tuple does."""
+    import fairhome.model
+
+    def untrained(*args):
+        raise AssertionError("a descent started")
+
+    train, config = separable_dataset(), TrainConfig(epochs=2, seed=1)
+    monkeypatch.setattr(fairhome.model, "_descend", untrained)
+    for bad in ((0,), (-3,), (4, 0), (2.5,), (np.float64(2.0),), "ab", ("4",), (True,),
+                (4, False), (4, None), 5, None):
+        with pytest.raises(UsageError, match="^hidden_layers must be a sequence of positive "
+                                             f"int widths, got {re.escape(repr(bad))}$"):
+            fit_mlp(train, config, hidden_layers=bad)
+    monkeypatch.undo()
+    want = fit_mlp(train, config, hidden_layers=(3, 2)).fingerprint()
+    for good in ([3, 2], (np.int64(3), np.uint8(2)), (w for w in (3, 2))):
+        assert fit_mlp(train, config, hidden_layers=good).fingerprint() == want
 
 
 def test_predict_proba_in_range_property(rng):

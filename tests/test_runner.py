@@ -23,6 +23,8 @@ from fairhome.runner import (
 from fairhome.metrics import MetricReport
 from fairhome.model import TrainConfig
 
+from conftest import make_dataset, make_schema
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -380,6 +382,57 @@ def test_fairhome5_two_attribute_fallback(tmp_path):
         result = run_experiment(config)
     rec = next(r for r in result.records if r.method == "fairhome5")
     assert rec.error is None
+
+
+def _fairhome5_case(combos):
+    """A logistic model, its training rows as instances, and their protected
+    domains: 3-level attributes ``p`` and ``q`` observed in ``combos`` only."""
+    from fairhome.data import protected_domains
+    from fairhome.model import fit_logistic
+
+    rng = np.random.default_rng(3)
+    schema = make_schema(protected=("p", "q"), extra=(("x", "numeric"),))
+    rows = [(*combos[i % len(combos)], float(rng.uniform(0, 10))) for i in range(120)]
+    train = make_dataset(schema, rows, rng.integers(0, 2, len(rows)))
+    model = fit_logistic(train, TrainConfig(learning_rate=0.1, epochs=30, seed=1))
+    return model, train.instances(), protected_domains(train)
+
+
+def test_fairhome5_votes_on_a_three_by_three_schema():
+    """With every combination of two 3-level attributes observed, each input has
+    4 multi-attribute mutants: fairhome5 votes, unwarned."""
+    from fairhome.ensemble import EnsembleStrategy, fairhome_predict
+    from fairhome.mutate import MutationStrategy
+    from fairhome.runner import _method_predictions
+
+    combos = [(p, q) for p in ("a", "b", "c") for q in ("u", "v", "w")]
+    model, instances, domains = _fairhome5_case(combos)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _method_predictions("fairhome5", model, instances, domains, None)
+    want = fairhome_predict(model, instances, domains, MutationStrategy.MULTI_ATTRIBUTE_ONLY,
+                            EnsembleStrategy.MAJORITY_VOTE)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(want, fairhome_predict(
+        model, instances, domains, MutationStrategy.MULTI_ATTRIBUTE_ONLY,
+        EnsembleStrategy.AVERAGING))
+
+
+def test_fairhome5_falls_back_where_an_observed_combination_has_one_mutant():
+    """Two 3-level attributes with 5 of 9 combinations unobserved: (a, u) differs
+    in both attributes from (b, v) alone, a 2-member ensemble, so fairhome5
+    averages for every input."""
+    from fairhome.ensemble import EnsembleStrategy, fairhome_predict
+    from fairhome.mutate import MutationStrategy, mutant_positions
+    from fairhome.runner import _method_predictions
+
+    model, instances, domains = _fairhome5_case([("a", "u"), ("a", "v"), ("b", "v"), ("c", "u")])
+    multi = MutationStrategy.MULTI_ATTRIBUTE_ONLY
+    assert len(mutant_positions(("a", "u"), domains, multi, None)) == 1
+    with pytest.warns(UserWarning, match="2-member ensembles"):
+        got = _method_predictions("fairhome5", model, instances, domains, None)
+    assert np.array_equal(got, fairhome_predict(model, instances, domains, multi,
+                                                EnsembleStrategy.AVERAGING))
 
 
 def test_failure_isolation(tmp_path):
