@@ -326,6 +326,7 @@ class CategoricalBlock:
     name: str
     levels: tuple
     offsets: dict  # value -> position within the block
+    width = property(lambda self: len(self.levels))  # its one-hot cells
 
 
 @dataclass(frozen=True)
@@ -333,6 +334,7 @@ class NumericBlock:
     name: str
     lo: float
     hi: float
+    width = 1  # its one scaled cell
 
     def scale(self, values) -> np.ndarray:
         """The cells ``encode`` gives the numeric ``values``, bit for bit: min-max scaled
@@ -348,12 +350,14 @@ class EncodingMap:
     """Training-derived encoder: one-hot categorical blocks, min-max scaled numerics."""
 
     blocks: tuple
-    dim: int
 
-    @cached_property  # each block's first column; the encoding is frozen, so computed once
+    @cached_property  # the encoding is frozen, so computed once
+    def dim(self) -> int:
+        return sum(b.width for b in self.blocks)
+
+    @cached_property  # each block's first column
     def starts(self) -> tuple[int, ...]:
-        return tuple(accumulate((len(b.levels) if isinstance(b, CategoricalBlock) else 1
-                                 for b in self.blocks[:-1]), initial=0))
+        return tuple(accumulate((b.width for b in self.blocks[:-1]), initial=0))
 
     @cached_property  # (protected indices, joint combos) -> member_template's pair
     def _member_templates(self) -> dict:
@@ -371,7 +375,7 @@ class EncodingMap:
             template = np.zeros(rewrite.shape)
             for a, i in enumerate(protected_indices):
                 block, start = self.blocks[i], self.starts[i]
-                rewrite[1:, start:start + len(block.levels)] = True
+                rewrite[1:, start:start + block.width] = True
                 for c, combo in enumerate(combos, start=1):
                     j = block.offsets.get(combo[a])
                     if j is not None:
@@ -385,7 +389,6 @@ def build_encoding(train: Dataset) -> EncodingMap:
     if len(train) == 0:
         raise UsageError("cannot build an encoding from an empty dataset")
     blocks = []
-    dim = 0
     for i, attr in enumerate(train.schema.attributes):
         column = [row[i] for row in train.rows]
         if attr.kind == CATEGORICAL:
@@ -393,11 +396,9 @@ def build_encoding(train: Dataset) -> EncodingMap:
             blocks.append(
                 CategoricalBlock(attr.name, levels, {v: j for j, v in enumerate(levels)})
             )
-            dim += len(levels)
         else:
             blocks.append(NumericBlock(attr.name, min(column), max(column)))
-            dim += 1
-    return EncodingMap(blocks=tuple(blocks), dim=dim)
+    return EncodingMap(blocks=tuple(blocks))
 
 
 def check_instance(instance: Instance, schema: Schema) -> None:
@@ -422,18 +423,15 @@ def encode(instance: Instance, schema: Schema, encoding: EncodingMap) -> np.ndar
     become an all-zero block, numerics are clamped to the training range."""
     check_instance(instance, schema)
     out = np.zeros(encoding.dim)
-    pos = 0
-    for value, block in zip(instance.values, encoding.blocks):
+    for value, block, start in zip(instance.values, encoding.blocks, encoding.starts):
         if isinstance(block, CategoricalBlock):
             j = block.offsets.get(value)
             if j is not None:
-                out[pos + j] = 1.0
-            pos += len(block.levels)
+                out[start + j] = 1.0
         else:
             span = block.hi - block.lo
             scaled = 0.0 if span == 0 else (float(value) - block.lo) / span
-            out[pos] = min(1.0, max(0.0, scaled))
-            pos += 1
+            out[start] = min(1.0, max(0.0, scaled))
     return out
 
 

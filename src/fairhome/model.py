@@ -139,8 +139,26 @@ def logistic_loss_grad(w, b, X, y, sample_w, l2):
     return loss, gw[:, 0], float(gb[0])
 
 
-class _TrainedModel:
-    """What both trained models share, read off their ``parameters`` and ``proba_matrix``."""
+@dataclass
+class MlpModel:
+    layer_weights: list
+    layer_biases: list
+    encoding: EncodingMap
+    schema: Schema
+
+    def parameters(self) -> list:
+        """Each layer's weights, then its bias: the order ``fingerprint`` hashes."""
+        return [p for layer in zip(self.layer_weights, self.layer_biases) for p in layer]
+
+    def proba_matrix(self, X: np.ndarray) -> np.ndarray:
+        p = mlp_forward(self.layer_weights, self.layer_biases, np.atleast_2d(X))[0][:, 0]
+        if np.isnan(p).any():  # favorable() would read a NaN as 0, without a word
+            raise UsageError("the model gives probability nan: a parameter or input is not "
+                             "finite, or the net overflows")
+        return p
+
+    def predict_proba(self, instance: Instance) -> float:
+        return float(self.proba_matrix(encode(instance, self.schema, self.encoding))[0])
 
     def predict(self, instances) -> np.ndarray:
         """The plain model's 0/1 decisions on a sequence of instances."""
@@ -152,24 +170,6 @@ class _TrainedModel:
         for p in self.parameters():
             h.update(np.asarray(p, dtype=np.float64).tobytes())
         return h.hexdigest()[:16]
-
-
-@dataclass
-class MlpModel(_TrainedModel):
-    layer_weights: list
-    layer_biases: list
-    encoding: EncodingMap
-    schema: Schema
-
-    def parameters(self) -> list:
-        """Each layer's weights, then its bias: the order ``fingerprint`` hashes."""
-        return [p for layer in zip(self.layer_weights, self.layer_biases) for p in layer]
-
-    def proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.layer_weights, self.layer_biases, np.atleast_2d(X))[0][:, 0]
-
-    def predict_proba(self, instance: Instance) -> float:
-        return float(self.proba_matrix(encode(instance, self.schema, self.encoding))[0])
 
 
 class LogisticModel(MlpModel):

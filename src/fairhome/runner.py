@@ -235,8 +235,8 @@ class _Repetition:
     train: Dataset
     test: Dataset
     domains: ProtectedDomains
-    # need -> its fitted object, or the exception that fails the cells needing
-    # it: "model" (every method but rew), "rew" and "fairhome1"
+    # need -> its trained model, or the exception that fails the cells needing
+    # it: "model" (every method but rew) and "rew"
     needs: dict = field(default_factory=dict)
 
 
@@ -245,9 +245,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Three passes: split every repetition and check what its training needs;
     train the models of every repetition that passed in one fit call (a model
-    left with a non-finite parameter fails as diverged), then fairhome1's
-    extrapolation models of each one whose model trained; then run the
-    methods and the Fairea classification repetition by repetition.
+    left with a non-finite parameter fails as diverged); then run the methods
+    and the Fairea classification repetition by repetition.
     """
     require_files(config.schema_path, config.dataset_path)
     schema = Schema.from_json(config.schema_path)
@@ -288,12 +287,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         model, *companion_models = map(_unless_diverged, result)
         rep.needs["model"] = model
         rep.needs.update(zip(("rew",), companion_models))
-        # a failed extrapolation fit fails the fairhome1 cells alone
-        if "fairhome1" in config.methods and not isinstance(model, Exception):
-            try:
-                rep.needs["fairhome1"] = fit_extrapolation_models(rep.train)
-            except Exception as e:
-                rep.needs["fairhome1"] = e
 
     records: list = []
     cases: list = []
@@ -314,23 +307,23 @@ def _unless_diverged(model):
 def _run_repetition(config, task, rep, records, cases) -> None:
     """Append one repetition's records, and its Fairea cases, to ``records``
     and ``cases``. A cell fails with the main model's exception, else with that
-    of its own need; it carries the fingerprint of the model it scores with
-    whenever that model trained."""
+    of its own model (rew's) or of fairhome1's extrapolation fit, which runs in
+    its cell; it carries the fingerprint of the model it scores with whenever
+    that model trained."""
     # the test split's instances and group keys are built once for every method
     instances = rep.test.instances()
     labeled = LabeledPredictions.from_dataset(rep.test, rep.test.labels)
     first, original_preds = len(records), None
     for method in config.methods:
         start = time.perf_counter()
-        own = rep.needs.get(method)  # rew's model, fairhome1's extrapolation models
-        model = own if method == "rew" else rep.needs["model"]
+        model = rep.needs.get("rew") if method == "rew" else rep.needs["model"]
         fingerprint = model.fingerprint() if hasattr(model, "fingerprint") else ""
         record = RunRecord(task, method, rep.index, rep.seed, fingerprint)
         try:
-            for need in (rep.needs["model"], own):
+            for need in (rep.needs["model"], model):
                 if isinstance(need, Exception):
                     raise need
-            corr = own if method == "fairhome1" else None
+            corr = fit_extrapolation_models(rep.train) if method == "fairhome1" else None
             preds = labeled.with_predictions(
                 _method_predictions(method, model, instances, rep.domains, corr))
             record.report = compute_report(preds)

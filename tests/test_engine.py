@@ -320,6 +320,27 @@ def _fixture_split(kind):
     return split(load_dataset(FIXTURES / f"{kind}_synth.csv", schema), 0.3, 42)
 
 
+@pytest.mark.parametrize("model_kind", ["logistic", "mlp"])
+def test_a_model_with_a_nan_parameter_raises_on_every_path(model_kind):
+    """A NaN parameter makes every probability NaN, which ``favorable`` reads as
+    0: the engine, the per-member path, ``predict`` and ``predict_proba`` raise
+    one UsageError instead of deciding."""
+    train, test = _fixture_split("german")
+    domains, probes = protected_domains(train), test.instances()[:5]
+    config = TrainConfig(seed=0, epochs=2)
+    model = (fit_logistic(train, config) if model_kind == "logistic"
+             else fit_mlp(train, config, hidden_layers=DESK_HIDDEN_LAYERS))
+    model.layer_weights[0][0, 0] = np.nan
+    paths = {"engine": lambda: fairhome_predict(model, probes, domains),
+             "per member": lambda: fairhome_predict(BlackBox(model), probes, domains),
+             "predict": lambda: model.predict(probes),
+             "predict_proba": lambda: model.predict_proba(probes[0])}
+    for name, call in paths.items():
+        with pytest.raises(UsageError, match="the model gives probability nan"):
+            call()
+            pytest.fail(f"{name} decided")
+
+
 @pytest.mark.parametrize("kind", ["german", "compas"])
 @pytest.mark.parametrize("model_kind", ["logistic", "mlp"])
 def test_runner_variants_match_reference_on_fixtures(kind, model_kind):

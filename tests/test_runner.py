@@ -20,7 +20,7 @@ from fairhome.runner import (
     write_tables,
     wtl_matrix,
 )
-from fairhome.metrics import MetricReport
+from fairhome.metrics import MetricReport, compute_report
 from fairhome.model import TrainConfig
 
 from conftest import make_dataset, make_schema
@@ -217,6 +217,37 @@ def test_a_diverged_model_fails_its_cells(tmp_path, capsys, train):
     assert extrapolated == [] and result.fairea_cases == []
 
 
+def test_fairhome1_fits_its_shift_model_once_per_repetition_that_trained(tmp_path, monkeypatch):
+    """fairhome1's shift model is fitted in its own cell, on its repetition's
+    training split: once for each repetition whose model trained when fairhome1
+    is listed, never for a repetition whose split cannot train, and never when
+    fairhome1 is not listed."""
+    import fairhome.runner
+    from fairhome.data import Schema, load_dataset, split
+    from fairhome.mutate import fit_extrapolation_models
+
+    fitted = []
+
+    def spy(train):
+        fitted.append(train.rows)
+        return fit_extrapolation_models(train)
+
+    monkeypatch.setattr(fairhome.runner, "fit_extrapolation_models", spy)
+    monkeypatch.setattr(fairhome.runner, "split", split_one_single_label)
+    methods = ("original", "fairhome1", "fairhome", "rew")
+    result = run_experiment(small_config(tmp_path, methods=methods, repetitions=3))
+    dataset = load_dataset(FIXTURES / "german_synth.csv",
+                           Schema.from_json(FIXTURES / "german_synth.schema.json"))
+    assert fitted == [split(dataset, 0.3, seed)[0].rows for seed in (42, 44)]
+    assert [r.error is None for r in result.records if r.method == "fairhome1"] == [
+        True, False, True]
+
+    fitted.clear()
+    run_experiment(small_config(tmp_path, methods=("original", "fairhome", "fairhome2", "rew"),
+                                repetitions=3))
+    assert fitted == []
+
+
 def test_a_diverged_rew_model_fails_the_rew_cells_alone(tmp_path, monkeypatch):
     """A REW model with a non-finite parameter fails only the rew cells, which
     carry no fingerprint; every other cell and Fairea case is unchanged."""
@@ -339,6 +370,30 @@ def test_mlp_model_kind_and_architectures(tmp_path):
                                            paper_arch=True, **base))
     assert all(r.error is None for r in wide.records)
     assert desk.records[0].model_fingerprint != wide.records[0].model_fingerprint
+
+
+def test_the_bundled_compas_config_trains_models_that_decide_both_ways(tmp_path, monkeypatch):
+    """At its learning rate, 0.05, the bundled compas mlp config trains a model
+    that does not collapse to one class: at 1 repetition no method decides
+    favorable for more than 95% of the test split. At the default 0.01 every
+    method did so for 99.7-100% of it."""
+    import fairhome.runner
+
+    shares = []
+
+    def spy(preds):
+        shares.append(float(np.mean(preds.y_pred)))
+        return compute_report(preds)
+
+    monkeypatch.setattr(fairhome.runner, "compute_report", spy)
+    config = ExperimentConfig.from_json(
+        FIXTURES.parent / "configs" / "compas_mlp.json", repetitions=1, fairea_reps=3,
+        dataset_path=str(FIXTURES / "compas_synth.csv"),
+        schema_path=str(FIXTURES / "compas_synth.schema.json"), output_dir=str(tmp_path))
+    result = run_experiment(config)
+    assert [r.error for r in result.records] == [None] * len(config.methods)
+    assert len(shares) == len(config.methods)
+    assert max(shares) <= 0.95, dict(zip(config.methods, shares))
 
 
 def test_config_from_json_train_overrides(tmp_path):
