@@ -50,15 +50,17 @@ from .stats import LOSS, TIE, WIN, win_tie_loss
 
 DESK_HIDDEN_LAYERS = (16, 8)
 
-FAIRHOME_VARIANTS = {
-    "fairhome": (MutationStrategy.PROTECTED_ONLY, EnsembleStrategy.MAJORITY_VOTE),
-    "fairhome1": (MutationStrategy.CORRELATED_FEATURES, EnsembleStrategy.MAJORITY_VOTE),
-    "fairhome2": (MutationStrategy.PROTECTED_ONLY, EnsembleStrategy.AVERAGING),
-    "fairhome3": (MutationStrategy.PROTECTED_ONLY, EnsembleStrategy.WEIGHTED_AVERAGING),
-    "fairhome4": (MutationStrategy.SINGLE_ATTRIBUTE_ONLY, EnsembleStrategy.MAJORITY_VOTE),
-    "fairhome5": (MutationStrategy.MULTI_ATTRIBUTE_ONLY, EnsembleStrategy.MAJORITY_VOTE),
+# method -> (the need whose model it scores with, its mutation, its ensemble rule)
+METHODS = {
+    "original": ("model", None, None),
+    "fairhome": ("model", MutationStrategy.PROTECTED_ONLY, EnsembleStrategy.MAJORITY_VOTE),
+    "fairhome1": ("model", MutationStrategy.CORRELATED_FEATURES, EnsembleStrategy.MAJORITY_VOTE),
+    "fairhome2": ("model", MutationStrategy.PROTECTED_ONLY, EnsembleStrategy.AVERAGING),
+    "fairhome3": ("model", MutationStrategy.PROTECTED_ONLY, EnsembleStrategy.WEIGHTED_AVERAGING),
+    "fairhome4": ("model", MutationStrategy.SINGLE_ATTRIBUTE_ONLY, EnsembleStrategy.MAJORITY_VOTE),
+    "fairhome5": ("model", MutationStrategy.MULTI_ATTRIBUTE_ONLY, EnsembleStrategy.MAJORITY_VOTE),
+    "rew": ("rew", None, None),
 }
-VALID_METHODS = ("original", *FAIRHOME_VARIANTS, "rew")
 # the leading columns of metrics.csv, ahead of the report's metric columns
 RECORD_HEAD = ("task", "method", "repetition", "seed", "model_fingerprint", "status", "error")
 REGIONS = tuple(r.value for r in TradeoffRegion)
@@ -87,8 +89,8 @@ class ExperimentConfig:
         if self.model_kind not in ("logistic", "mlp"):
             raise UsageError(f"unknown model kind {self.model_kind!r}")
         for m in self.methods:
-            if m not in VALID_METHODS:
-                raise UsageError(f"unknown method {m!r}; valid: {VALID_METHODS}")
+            if m not in METHODS:
+                raise UsageError(f"unknown method {m!r}; valid: {tuple(METHODS)}")
         if not self.methods:
             raise UsageError("methods must name at least one method")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
@@ -180,17 +182,19 @@ class ExperimentResult:
 
 
 def _method_predictions(method, model, instances, domains, corr):
-    """Decisions of ``method`` on the test ``instances``; ``model`` is the
-    reweighted one for rew."""
-    if method in ("original", "rew"):
+    """Decisions of ``method`` on the test ``instances``; ``model`` is the one
+    its row of ``METHODS`` needs."""
+    _, mutation, strategy = METHODS[method]
+    if mutation is None:
         return model.predict(instances)
-    mutation, strategy = FAIRHOME_VARIANTS[method]
-    if method == "fairhome5" and any(len(mutant_positions(own, domains, mutation, None)) == 1
-                                     for own in domains.joint_combos):
+    if (mutation is MutationStrategy.MULTI_ATTRIBUTE_ONLY
+            and strategy is EnsembleStrategy.MAJORITY_VOTE
+            and any(len(mutant_positions(own, domains, mutation, None)) == 1
+                    for own in domains.joint_combos)):
         # an observed combination with a single multi-attribute mutant leaves only two
         # voters; vote ties are meaningless there, so fall back to probability averaging
         warnings.warn(
-            f"fairhome5 with {len(domains.schema.protected)} protected attributes yields "
+            f"{method} with {len(domains.schema.protected)} protected attributes yields "
             "2-member ensembles; using averaging instead of majority vote",
             stacklevel=2,
         )
@@ -235,8 +239,7 @@ class _Repetition:
     train: Dataset
     test: Dataset
     domains: ProtectedDomains
-    # need -> its trained model, or the exception that fails the cells needing
-    # it: "model" (every method but rew) and "rew"
+    # need -> its trained model, or the exception that fails the cells needing it
     needs: dict = field(default_factory=dict)
 
 
@@ -267,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         weights.append([None])  # the fit's weights entry: the main model's, then REW's
         # REW's model is trained in the same descent as the main one; its
         # weights are checked first, so that bad weights fail its cells alone
-        if "rew" in config.methods:
+        if any(METHODS[m][0] == "rew" for m in config.methods):
             try:
                 weights[-1].append(check_weights(reweighting_weights(train)))
             except Exception as e:
@@ -307,8 +310,8 @@ def _unless_diverged(model):
 def _run_repetition(config, task, rep, records, cases) -> None:
     """Append one repetition's records, and its Fairea cases, to ``records``
     and ``cases``. A cell fails with the main model's exception, else with that
-    of its own model (rew's) or of fairhome1's extrapolation fit, which runs in
-    its cell; it carries the fingerprint of the model it scores with whenever
+    of its own model (rew's) or of its shift model's fit (fairhome1's), which runs
+    in its cell; it carries the fingerprint of the model it scores with whenever
     that model trained."""
     # the test split's instances and group keys are built once for every method
     instances = rep.test.instances()
@@ -316,14 +319,16 @@ def _run_repetition(config, task, rep, records, cases) -> None:
     first, original_preds = len(records), None
     for method in config.methods:
         start = time.perf_counter()
-        model = rep.needs.get("rew") if method == "rew" else rep.needs["model"]
+        need, mutation, _ = METHODS[method]
+        model = rep.needs.get(need)
         fingerprint = model.fingerprint() if hasattr(model, "fingerprint") else ""
         record = RunRecord(task, method, rep.index, rep.seed, fingerprint)
         try:
-            for need in (rep.needs["model"], model):
-                if isinstance(need, Exception):
-                    raise need
-            corr = fit_extrapolation_models(rep.train) if method == "fairhome1" else None
+            for trained in (rep.needs["model"], model):
+                if isinstance(trained, Exception):
+                    raise trained
+            corr = (fit_extrapolation_models(rep.train)
+                    if mutation is MutationStrategy.CORRELATED_FEATURES else None)
             preds = labeled.with_predictions(
                 _method_predictions(method, model, instances, rep.domains, corr))
             record.report = compute_report(preds)

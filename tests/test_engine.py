@@ -21,7 +21,7 @@ from fairhome.errors import DataError, ShapeError, UsageError
 from fairhome.model import LogisticModel, MlpModel, TrainConfig, fit_logistic, fit_mlp
 from fairhome.mutate import (CorrelationModel, MutationStrategy, fit_extrapolation_models,
                              generate_mutants)
-from fairhome.runner import DESK_HIDDEN_LAYERS, FAIRHOME_VARIANTS, _method_predictions
+from fairhome.runner import DESK_HIDDEN_LAYERS, METHODS, _method_predictions
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -344,6 +344,7 @@ def test_a_model_with_a_nan_parameter_raises_on_every_path(model_kind):
 @pytest.mark.parametrize("kind", ["german", "compas"])
 @pytest.mark.parametrize("model_kind", ["logistic", "mlp"])
 def test_runner_variants_match_reference_on_fixtures(kind, model_kind):
+    """Every method that mutates decides on the engine as on the per-member path."""
     train, test = _fixture_split(kind)
     domains = protected_domains(train)
     config = TrainConfig(seed=42)
@@ -352,7 +353,7 @@ def test_runner_variants_match_reference_on_fixtures(kind, model_kind):
     corr = fit_extrapolation_models(train)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the fairhome5 fallback on german
-        for method in FAIRHOME_VARIANTS:
+        for method in (m for m, (_, mutation, _) in METHODS.items() if mutation is not None):
             fast = _method_predictions(method, model, test.instances(), domains, corr)
             slow = _method_predictions(method, BlackBox(model), test.instances(), domains, corr)
             assert fast.tolist() == slow.tolist(), method

@@ -10,6 +10,7 @@ import pytest
 
 from fairhome.cli import main as cli_main
 from fairhome.runner import (
+    METHODS,
     ExperimentConfig,
     RunRecord,
     emit_report,
@@ -117,6 +118,21 @@ def test_bad_rew_weights_in_one_repetition_fail_its_rew_cells_alone(tmp_path, mo
             assert after.report.to_flat_dict() == before.report.to_flat_dict()
     assert bad.fairea_cases == [c for c in good.fairea_cases
                                 if (c.repetition, c.method) != (1, "rew")]
+
+
+@pytest.mark.parametrize("methods, sets", [(("original", "fairhome", "fairhome1"), 3),
+                                           (("original", "fairhome", "fairhome1", "rew"), 6)])
+def test_rew_trains_only_when_a_method_needs_it(tmp_path, monkeypatch, methods, sets):
+    """A 3-repetition run trains one lockstep descent: of the 3 main models
+    alone, or of those and their 3 REW models when rew is listed."""
+    import fairhome.model
+
+    descend, descents = fairhome.model._descend, []
+    monkeypatch.setattr(fairhome.model, "_descend",
+                        lambda *args: descents.append(len(args[3])) or descend(*args))
+    result = run_experiment(small_config(tmp_path, methods=methods, repetitions=3))
+    assert descents == [sets]
+    assert all(r.error is None for r in result.records)
 
 
 def split_one_single_label(dataset, test_fraction, seed):
@@ -431,12 +447,36 @@ def test_manifest_config_hash_is_pinned():
         "batch_size", "epochs", "l2_penalty", "learning_rate"]
 
 
+def test_readme_methods_table_lists_the_method_table_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Methods\n", 1)[1].split("\n## ", 1)[0]
+    names = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+             if line.startswith("| `")]
+    assert tuple(names) == tuple(METHODS)
+
+
 def test_fairhome5_two_attribute_fallback(tmp_path):
     config = small_config(tmp_path, methods=("original", "fairhome5"), repetitions=1)
     with pytest.warns(UserWarning, match="2-member ensembles"):
         result = run_experiment(config)
     rec = next(r for r in result.records if r.method == "fairhome5")
     assert rec.error is None
+
+
+def test_fairhome5_under_one_protected_attribute_decides_as_original(tmp_path):
+    """With one protected attribute no input has a multi-attribute mutant: each
+    fairhome5 ensemble is the input alone, which decides as the model does, unwarned."""
+    schema = json.loads((FIXTURES / "german_synth.schema.json").read_text())
+    schema_path = tmp_path / "sex.schema.json"
+    schema_path.write_text(json.dumps({**schema, "protected": ["sex"]}))
+    config = small_config(tmp_path, schema_path=str(schema_path),
+                          methods=("original", "fairhome5"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(config)
+    flats = {(r.repetition, r.method): r.report.to_flat_dict() for r in result.records}
+    for rep in range(config.repetitions):
+        assert flats[(rep, "fairhome5")] == flats[(rep, "original")]
 
 
 def _fairhome5_case(combos):
@@ -770,6 +810,9 @@ def test_cli_run_bad_fairea_reps_exits_2_before_training(tmp_path, capsys, monke
         ({"methods": "fairhome"}, "methods must be a list of strings, got 'fairhome'"),
         ({"methods": [[]]}, "methods must be a list of strings, got [[]]"),
         ({"methods": []}, "methods must name at least one method"),
+        ({"methods": ["fairhome9"]},
+         "unknown method 'fairhome9'; valid: ('original', 'fairhome', 'fairhome1', 'fairhome2', "
+         "'fairhome3', 'fairhome4', 'fairhome5', 'rew')"),
         ({"methods": ["original", "original", "fairhome"]},
          "methods must not repeat, got ['original'] more than once"),
         ({"fairea_degrees": [0.0, "0.5", 1.0]}, "degrees must be ascending numbers"),
