@@ -259,9 +259,18 @@ def check_test_fraction(test_fraction) -> None:
         raise UsageError(f"test_fraction must be in (0, 1), got {test_fraction}")
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """UsageError unless ``seed`` is an integer >= 0; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise UsageError(f"{name} must be int, got {seed!r}")
+    if seed < 0:
+        raise UsageError(f"{name} must be >= 0, got {seed}")
+
+
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded disjoint train/test partition; test gets floor(n * fraction) rows."""
     check_test_fraction(test_fraction)
+    check_seed(seed)
     n = len(dataset)
     if n == 0:
         raise UsageError("cannot split an empty dataset")

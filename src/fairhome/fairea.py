@@ -17,6 +17,7 @@ from numbers import Real
 
 import numpy as np
 
+from .data import check_seed
 from .errors import UsageError
 from .metrics import (
     FAIRNESS_METRICS,
@@ -82,6 +83,7 @@ def mutation_curve(preds: LabeledPredictions, degrees, reps: int, seed: int) -> 
     by ``reps``.
     """
     degrees = check_curve_settings(degrees, reps)
+    check_seed(seed)
     n = len(preds)
     majority = majority_class(preds.y_true)
     rng = np.random.default_rng(seed)
@@ -111,81 +113,71 @@ def build_baseline(
     degrees=DEFAULT_DEGREES,
     reps: int = DEFAULT_REPS,
     seed: int = 0,
-    curve=None,
 ) -> TradeoffBaseline:
-    """Construct the trade-off polyline for one (fairness, performance) pairing.
-
-    ``curve`` lets callers reuse a precomputed mutation_curve when building
-    baselines for several metric pairings from the same predictions.
-    """
+    """Construct the trade-off polyline for one (fairness, performance) pairing."""
     if fairness_metric not in FAIRNESS_METRICS:
         raise UsageError(f"unknown fairness metric {fairness_metric!r}")
     if performance_metric not in PERFORMANCE_METRICS:
         raise UsageError(f"unknown performance metric {performance_metric!r}")
-    check_curve_settings(degrees, reps)
-    if curve is None:
-        curve = mutation_curve(original_preds, degrees, reps, seed)
     points = [
         TradeoffPoint(
             fairness=row[fairness_metric], performance=row[performance_metric],
             fairness_metric=fairness_metric, performance_metric=performance_metric,
         )
-        for row in curve
+        for row in mutation_curve(original_preds, degrees, reps, seed)
     ]
     return TradeoffBaseline(points=points)
 
 
-def _baseline_fairness_at(baseline: TradeoffBaseline, performance: float):
-    """Interpolated baseline fairness at a performance level.
+def classify_cases(curve_fairness, curve_performance, fairness, performance) -> tuple:
+    """Each case's trade-off region, as an index in ``TradeoffRegion``'s order, and
+    whether it was clamped; one warning per clamped case, for the caller's caller.
 
-    Walks segments in degree order; if several span the level, the strictest
-    (lowest fairness) wins. Performance beyond the curve's reach clamps to the
-    nearest endpoint and is flagged.
+    Curves have shape (..., degrees), degree 0 the original model's; case points
+    broadcast with their leading shape. A case performs better at ``>=`` and is
+    fairer at ``<`` than the original, and matching it exactly is GOOD. A fairer,
+    worse case is GOOD when fairer than the curve at its performance: the lowest
+    fairness of the segments spanning it, a flat one at its lower end; spanned by
+    none, it is clamped to the first curve point nearest in performance.
     """
-    pts = baseline.points
-    spanning = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        lo, hi = min(a.performance, b.performance), max(a.performance, b.performance)
-        if lo <= performance <= hi:
-            if a.performance == b.performance:
-                spanning.append(min(a.fairness, b.fairness))
-            else:
-                t = (performance - a.performance) / (b.performance - a.performance)
-                spanning.append(a.fairness + t * (b.fairness - a.fairness))
-    if spanning:
-        return min(spanning), False
-    # off-curve: clamp to whichever endpoint is closer in performance
-    end = min(pts, key=lambda p: abs(p.performance - performance))
-    return end.fairness, True
+    curve_f, curve_p = np.asarray(curve_fairness, float), np.asarray(curve_performance, float)
+    f, p = np.asarray(fairness, float), np.asarray(performance, float)
+    level = p[..., None]
+    a_f, b_f, a_p, b_p = curve_f[..., :-1], curve_f[..., 1:], curve_p[..., :-1], curve_p[..., 1:]
+    spans = (np.minimum(a_p, b_p) <= level) & (level <= np.maximum(a_p, b_p))
+    flat = a_p == b_p
+    # the numerator is zeroed off the spanning sloped segments, so no division overflows
+    t = np.where(spans & ~flat, level - a_p, 0.0) / np.where(flat, 1.0, b_p - a_p)
+    on_curve = np.where(spans, np.where(flat, np.minimum(a_f, b_f), a_f + t * (b_f - a_f)), np.inf)
+    distance = np.abs(curve_p - level)
+    nearest = np.take_along_axis(np.broadcast_to(curve_f, distance.shape),
+                                 distance.argmin(axis=-1)[..., None], axis=-1)[..., 0]
+    spanned = spans.any(axis=-1)
+    threshold = np.where(spanned, on_curve.min(axis=-1, initial=np.inf), nearest)
+    o_f, o_p = curve_f[..., 0], curve_p[..., 0]
+    better_perf, better_fair, same_fair = p >= o_p, f < o_f, f == o_f
+    win_win, good, poor, lose_lose, inverted = range(len(TradeoffRegion))
+    regions = np.select(
+        [better_perf & (better_fair | same_fair & (p != o_p)),
+         better_perf & same_fair,  # an exact no-op matches, does not beat, the curve
+         better_perf, ~better_fair, f < threshold],
+        [win_win, good, inverted, lose_lose, good], default=poor)
+    clamped = ~better_perf & better_fair & ~spanned
+    for _ in range(np.count_nonzero(clamped)):
+        warnings.warn("method performance lies beyond the baseline curve; "
+                      "compared against the nearest endpoint", stacklevel=3)
+    return regions, clamped
 
 
 def classify_case(method_point: TradeoffPoint, baseline: TradeoffBaseline) -> TradeoffRegion:
     """Place a mitigation case into one of the five trade-off regions, relative to
-    the original model, which is the curve's degree-0 point."""
+    the original model, which is the curve's degree-0 point: ``classify_cases``
+    for one case."""
     original_point = baseline.points[0]
     if (method_point.fairness_metric != original_point.fairness_metric
             or method_point.performance_metric != original_point.performance_metric):
         raise UsageError("points and baseline must share metric names")
-
-    better_perf = method_point.performance >= original_point.performance
-    better_fair = method_point.fairness < original_point.fairness
-
-    if better_perf and better_fair:
-        return TradeoffRegion.WIN_WIN
-    if better_perf:
-        if (method_point.performance == original_point.performance
-                and method_point.fairness == original_point.fairness):
-            return TradeoffRegion.GOOD  # exact no-op matches, does not beat, the curve
-        if method_point.fairness == original_point.fairness:
-            return TradeoffRegion.WIN_WIN
-        return TradeoffRegion.INVERTED
-    if not better_fair:
-        return TradeoffRegion.LOSE_LOSE
-    threshold, clamped = _baseline_fairness_at(baseline, method_point.performance)
-    if clamped:
-        warnings.warn(
-            "method performance lies beyond the baseline curve; "
-            "compared against the nearest endpoint",
-            stacklevel=2,
-        )
-    return TradeoffRegion.GOOD if method_point.fairness < threshold else TradeoffRegion.POOR
+    region, _ = classify_cases([p.fairness for p in baseline.points],
+                               [p.performance for p in baseline.points],
+                               method_point.fairness, method_point.performance)
+    return list(TradeoffRegion)[int(region)]

@@ -29,6 +29,7 @@ from .data import (
     Schema,
     build_encoding,
     check_field_types,
+    check_seed,
     encode,
     encode_matrix,
 )
@@ -58,8 +59,7 @@ class TrainConfig:
             raise UsageError("batch_size must be >= 1 or None")
         if not 0 <= self.l2_penalty <= sys.float_info.max:
             raise UsageError(f"l2_penalty must be non-negative and finite, got {self.l2_penalty}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 def check_weights(weights) -> np.ndarray:

@@ -23,19 +23,16 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import (Dataset, ProtectedDomains, Schema, check_field_types, check_keys,
+from .data import (Dataset, ProtectedDomains, Schema, check_field_types, check_keys, check_seed,
                    check_test_fraction, load_dataset, protected_domains, read_json, read_table,
                    split)
 from .ensemble import EnsembleStrategy, fairhome_predict
 from .errors import TrainingError, UsageError
-from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, TradeoffPoint, TradeoffRegion,
-                     build_baseline, check_curve_settings, classify_case, mutation_curve)
-from .metrics import (
-    FAIRNESS_METRICS,
-    PERFORMANCE_METRICS,
-    LabeledPredictions,
-    compute_report,
-)
+# bench/layers.py traces compute_report, build_baseline, classify_case here until ROADMAP item 19
+from .fairea import (DEFAULT_DEGREES, DEFAULT_REPS, TradeoffRegion, build_baseline,  # noqa: F401
+                     check_curve_settings, classify_case, classify_cases, mutation_curve)
+from .metrics import (FAIRNESS_METRICS, PERFORMANCE_METRICS, LabeledPredictions,  # noqa: F401
+                      compute_report, compute_reports)
 from .model import (
     DEFAULT_HIDDEN_LAYERS,
     TrainConfig,
@@ -98,8 +95,7 @@ class ExperimentConfig:
             raise UsageError(f"methods must not repeat, got {repeated} more than once")
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
-        if self.base_seed < 0:
-            raise UsageError(f"base_seed must be >= 0, got {self.base_seed}")
+        check_seed(self.base_seed, "base_seed")
         check_test_fraction(self.test_fraction)
         if self.train.seed != TrainConfig().seed:
             raise UsageError(f"train seed is set by each repetition (base_seed + repetition), "
@@ -312,11 +308,12 @@ def _run_repetition(config, task, rep, records, cases) -> None:
     and ``cases``. A cell fails with the main model's exception, else with that
     of its own model (rew's) or of its shift model's fit (fairhome1's), which runs
     in its cell; it carries the fingerprint of the model it scores with whenever
-    that model trained."""
+    that model trained. All decisions are scored in one metric matrix, whose
+    failure, which the labels alone decide, fails every cell that decided."""
     # the test split's instances and group keys are built once for every method
     instances = rep.test.instances()
     labeled = LabeledPredictions.from_dataset(rep.test, rep.test.labels)
-    first, original_preds = len(records), None
+    decided, decisions = [], []
     for method in config.methods:
         start = time.perf_counter()
         need, mutation, _ = METHODS[method]
@@ -329,40 +326,42 @@ def _run_repetition(config, task, rep, records, cases) -> None:
                     raise trained
             corr = (fit_extrapolation_models(rep.train)
                     if mutation is MutationStrategy.CORRELATED_FEATURES else None)
-            preds = labeled.with_predictions(
-                _method_predictions(method, model, instances, rep.domains, corr))
-            record.report = compute_report(preds)
-            if method == "original":
-                original_preds = preds
+            decisions.append(_method_predictions(method, model, instances, rep.domains, corr))
+            decided.append(record)
         except Exception as e:  # isolate the cell, keep the matrix going
             record.error = f"{type(e).__name__}: {e}"
         record.duration_s = time.perf_counter() - start
         records.append(record)
-    if original_preds is not None:
-        cases.extend(_classify_rep(config, task, rep, original_preds, records[first:]))
+    if not decided:
+        return
+    try:
+        reports = compute_reports(labeled, np.array(decisions))
+    except Exception as e:
+        for record in decided:
+            record.error = f"{type(e).__name__}: {e}"
+        return
+    for record, report in zip(decided, reports):
+        record.report = report
+    original = [d for r, d in zip(decided, decisions) if r.method == "original"]
+    mitigations = [r for r in decided if r.method != "original"]
+    if original and mitigations:
+        cases.extend(_classify_rep(config, task, rep, labeled.with_predictions(original[0]),
+                                   mitigations))
 
 
 def _classify_rep(config, task, rep, original_preds, records):
-    """Fairea-classify every mitigation method of one repetition whose cell in
-    ``records`` ran.
-
-    Each (fairness, performance) baseline is built once and shared by every
-    method; its degree-0 point is the original model's.
-    """
+    """Fairea-classify, in one call, every (method, fairness, performance) case of the
+    mitigation ``records`` of one repetition against the original model's curve."""
     curve = mutation_curve(original_preds, config.fairea_degrees, config.fairea_reps, rep.seed)
-    baselines = {
-        (fm, pm): build_baseline(original_preds, fm, pm, config.fairea_degrees,
-                                 config.fairea_reps, rep.seed, curve=curve)
-        for fm in FAIRNESS_METRICS for pm in PERFORMANCE_METRICS
-    }
-    flats = {r.method: r.report.to_flat_dict() for r in records
-             if r.report is not None and r.method != "original"}
-    cases = []
-    for method, flat in flats.items():
-        for (fm, pm), baseline in baselines.items():
-            region = classify_case(TradeoffPoint(flat[fm], flat[pm], fm, pm), baseline)
-            cases.append(FaireaCase(task, method, rep.index, fm, pm, region.value))
-    return cases
+    pairs = [(fm, pm) for fm in FAIRNESS_METRICS for pm in PERFORMANCE_METRICS]
+    flats = [r.report.to_flat_dict() for r in records]
+    regions, _ = classify_cases(
+        [[row[fm] for row in curve] for fm, _ in pairs],
+        [[row[pm] for row in curve] for _, pm in pairs],
+        [[flat[fm] for fm, _ in pairs] for flat in flats],
+        [[flat[pm] for _, pm in pairs] for flat in flats])
+    return [FaireaCase(task, r.method, rep.index, fm, pm, REGIONS[region])
+            for r, row in zip(records, regions.tolist()) for (fm, pm), region in zip(pairs, row)]
 
 
 def _cell_values(rows) -> dict:
@@ -393,8 +392,8 @@ def improvement_table(rows) -> list:
             if metric in base:
                 mean_o = float(np.mean(base[metric]))
                 entry.update(original_mean=mean_o, absolute_change=mean_m - mean_o)
-                if mean_o != 0:
-                    entry["relative_change_pct"] = 100.0 * (mean_m - mean_o) / mean_o
+                if mean_o != 0:  # a negative mean (mcc's) keeps the change's sign
+                    entry["relative_change_pct"] = 100.0 * (mean_m - mean_o) / abs(mean_o)
             table.append(entry)
     return table
 

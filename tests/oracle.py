@@ -96,6 +96,39 @@ def performance(pairs):
     return accuracy, (p1 + p0) / 2, (r1 + r0) / 2, (f1 + f0) / 2, mcc
 
 
+def tradeoff_region(curve, fairness, performance):
+    """Fairea region of a (fairness, performance) case against ``curve``, a list of
+    (fairness, performance) points whose first is the original model's, and
+    whether the baseline fairness was clamped to a curve point. A segment walk."""
+    orig_f, orig_p = curve[0]
+    if performance >= orig_p:
+        if fairness < orig_f:
+            return "win-win", False
+        if fairness == orig_f:
+            return ("good" if performance == orig_p else "win-win"), False
+        return "inverted", False
+    if fairness >= orig_f:
+        return "lose-lose", False
+    spanning = []
+    for (a_f, a_p), (b_f, b_p) in zip(curve, curve[1:]):
+        if min(a_p, b_p) <= performance <= max(a_p, b_p):
+            if a_p == b_p:
+                spanning.append(min(a_f, b_f))
+            else:
+                t = (performance - a_p) / (b_p - a_p)
+                spanning.append(a_f + t * (b_f - a_f))
+    clamped = not spanning
+    if clamped:
+        best = None
+        for f, p in curve:  # the first point nearest in performance
+            if best is None or abs(p - performance) < best[0]:
+                best = (abs(p - performance), f)
+        threshold = best[1]
+    else:
+        threshold = min(spanning)
+    return ("good" if fairness < threshold else "poor"), clamped
+
+
 def exact_mwu_p(a, b):
     """Exact two-tailed p by enumerating every assignment of pooled values."""
     from itertools import combinations

@@ -254,6 +254,11 @@ def test_split_sizes_and_determinism(two_protected_schema, rng):
 
     with pytest.raises(UsageError):
         split(ds, 1.5, seed=0)
+    # a seed fails as a config's does, not in numpy
+    for seed, message in ((-1, "seed must be >= 0, got -1"), (1.5, "seed must be int, got 1.5"),
+                          (True, "seed must be int, got True")):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            split(ds, 0.3, seed)
     with pytest.raises(UsageError, match=r"test_fraction 0.09 leaves no test rows out of 10"):
         split(ds, 0.09, seed=0)
     # an empty dataset has nothing to split, no protected domains and no encoding

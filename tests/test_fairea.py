@@ -1,6 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from fairhome.data import SubgroupKey
 from fairhome.errors import MetricUndefinedError, UsageError
 from fairhome.fairea import (
@@ -9,6 +15,7 @@ from fairhome.fairea import (
     TradeoffRegion,
     build_baseline,
     classify_case,
+    classify_cases,
     majority_class,
     mutation_curve,
 )
@@ -120,6 +127,13 @@ def test_build_baseline_validates_inputs(rng):
     for degrees, reps in (((0.0, 0.5), 2), ((), 2), ((0.0, 1.0), 0)):
         with pytest.raises(UsageError):
             mutation_curve(preds, degrees, reps, seed=0)
+    # a seed fails as a config's does, not in numpy
+    for seed, message in ((-1, "seed must be >= 0, got -1"), (1.5, "seed must be int, got 1.5"),
+                          (False, "seed must be int, got False")):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            mutation_curve(preds, (0.0, 0.5, 1.0), 2, seed=seed)
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            build_baseline(preds, "wc_spd", "accuracy", seed=seed)
 
 
 def hand_baseline():
@@ -179,8 +193,6 @@ def test_classify_rejects_mismatched_metrics():
 
 def test_classification_partition_property(rng):
     baseline = hand_baseline()
-    import warnings
-
     for _ in range(200):
         point = P(float(rng.uniform(0, 0.5)), float(rng.uniform(0.55, 0.9)))
         with warnings.catch_warnings():
@@ -191,8 +203,6 @@ def test_classification_partition_property(rng):
 
 def test_classification_monotone_in_fairness(rng):
     baseline = hand_baseline()
-    import warnings
-
     for _ in range(50):
         perf = float(rng.uniform(0.6, 0.79))
         seen_good = False
@@ -204,3 +214,69 @@ def test_classification_monotone_in_fairness(rng):
                 seen_good = True
             if seen_good:
                 assert region is TradeoffRegion.GOOD
+
+
+# quarters on [0, 1] for curves, so segments come out flat and points land on
+# vertices; cases take eighths, between the quarters too, a quarter beyond both ends
+CURVE_VALUES = st.integers(0, 4).map(lambda k: k / 4)
+CASE_VALUES = st.integers(-2, 10).map(lambda k: k / 8)
+
+
+@st.composite
+def curves_and_cases(draw):
+    """Curves of 1 to 6 points, and (cases, curves) points laid out as the runner
+    lays out (methods, metric pairs): free, on a vertex or at its performance,
+    or equal to the original's point in one coordinate or both."""
+    degrees, n_curves, n_cases = (draw(st.integers(1, top)) for top in (6, 4, 6))
+    curves = [[(draw(CURVE_VALUES), draw(CURVE_VALUES)) for _ in range(degrees)]
+              for _ in range(n_curves)]
+    cases = []
+    for _ in range(n_cases):
+        row = []
+        for curve in curves:
+            f, p = draw(CASE_VALUES), draw(CASE_VALUES)
+            vertex = draw(st.sampled_from(curve))
+            kind = draw(st.sampled_from(("free", "vertex", "vertex performance",
+                                         "original fairness", "original performance",
+                                         "original")))
+            if kind == "vertex":
+                f, p = vertex
+            elif kind == "vertex performance":
+                p = vertex[1]
+            elif kind == "original fairness":
+                f = curve[0][0]
+            elif kind == "original performance":
+                p = curve[0][1]
+            elif kind == "original":
+                f, p = curve[0]
+            row.append((f, p))
+        cases.append(row)
+    return curves, cases
+
+
+@settings(deadline=None, max_examples=300)
+@given(curves_and_cases())
+# a flat last segment decides alone only at its far end: 0.25 there, not 0.75
+@example(([[(1.0, 1.0), (0.75, 0.5), (0.25, 0.5)]], [[(0.5, 0.5)]]))
+def test_array_rule_equals_the_segment_walk(drawn):
+    """One classify_cases call over a stack of curves and cases gives each case the
+    region and clamp flag of the plain segment walk in tests/oracle.py, and so does
+    classify_case, one case at a time; each warns once per clamped case."""
+    curves, cases = drawn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        regions, clamped = classify_cases(
+            [[f for f, _ in curve] for curve in curves],
+            [[p for _, p in curve] for curve in curves],
+            [[f for f, _ in row] for row in cases], [[p for _, p in row] for row in cases])
+    assert regions.shape == clamped.shape == (len(cases), len(curves))
+    assert len(caught) == clamped.sum()  # one warning per clamped case
+    for i, row in enumerate(cases):
+        for j, (f, p) in enumerate(row):
+            expected = oracle.tradeoff_region(curves[j], f, p)
+            assert (list(TradeoffRegion)[regions[i, j]].value, bool(clamped[i, j])) == expected
+            baseline = TradeoffBaseline([P(*point) for point in curves[j]])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                region = classify_case(P(f, p), baseline)
+            assert (region.value, len(caught) == 1) == expected and len(caught) <= 1

@@ -21,7 +21,7 @@ from fairhome.runner import (
     write_tables,
     wtl_matrix,
 )
-from fairhome.metrics import MetricReport, compute_report
+from fairhome.metrics import MetricReport, compute_reports
 from fairhome.model import TrainConfig
 
 from conftest import make_dataset, make_schema
@@ -397,11 +397,11 @@ def test_the_bundled_compas_config_trains_models_that_decide_both_ways(tmp_path,
 
     shares = []
 
-    def spy(preds):
-        shares.append(float(np.mean(preds.y_pred)))
-        return compute_report(preds)
+    def spy(labeled, decisions):
+        shares.extend(np.mean(decisions, axis=1).tolist())
+        return compute_reports(labeled, decisions)
 
-    monkeypatch.setattr(fairhome.runner, "compute_report", spy)
+    monkeypatch.setattr(fairhome.runner, "compute_reports", spy)
     config = ExperimentConfig.from_json(
         FIXTURES.parent / "configs" / "compas_mlp.json", repetitions=1, fairea_reps=3,
         dataset_path=str(FIXTURES / "compas_synth.csv"),
@@ -571,6 +571,41 @@ def test_failure_isolation(tmp_path):
     assert by_method["fairhome"].error is None
 
 
+def test_a_metric_the_labels_leave_undefined_fails_every_cell_that_decided(tmp_path):
+    """Favorable labels only in the (M, W) subgroup leave one subgroup eligible
+    for TPR terms: every cell that made decisions fails with the same
+    MetricUndefinedError and keeps its fingerprint, a cell that failed before
+    deciding keeps its own error, and no Fairea case is written."""
+    schema = {"attributes": [{"name": "sex", "kind": "categorical"},
+                             {"name": "race", "kind": "categorical"},
+                             {"name": "job", "kind": "categorical"}],
+              "protected": ["sex", "race"], "label_column": "y", "favorable_value": "yes"}
+    (tmp_path / "one.schema.json").write_text(json.dumps(schema))
+    rng = np.random.default_rng(0)
+    lines = ["sex,race,job,y"]
+    for _ in range(80):
+        sex, race = str(rng.choice(["M", "F"])), str(rng.choice(["W", "N"]))
+        favorable = (sex, race) == ("M", "W") and rng.random() < 0.5
+        lines.append(",".join([sex, race, str(rng.choice(["a", "b"])),
+                               "yes" if favorable else "no"]))
+    (tmp_path / "one.csv").write_text("\n".join(lines) + "\n")
+    methods = ("original", "fairhome", "fairhome1", "fairhome2", "rew")
+    config = ExperimentConfig(
+        dataset_path=str(tmp_path / "one.csv"), schema_path=str(tmp_path / "one.schema.json"),
+        methods=methods, repetitions=2, fairea_degrees=(0.0, 1.0), fairea_reps=1,
+        output_dir=str(tmp_path / "out"), base_seed=1)
+    result = run_experiment(config)
+    assert [(r.repetition, r.method) for r in result.records] == [
+        (rep, method) for rep in range(2) for method in methods]
+    for record in result.records:
+        assert record.report is None and record.model_fingerprint != ""
+        assert record.error == (
+            "UsageError: no numeric non-protected features to extrapolate"
+            if record.method == "fairhome1"
+            else "MetricUndefinedError: fewer than 2 subgroups eligible for TPR terms")
+    assert result.fairea_cases == []
+
+
 def test_an_extrapolation_fit_that_is_not_finite_fails_the_fairhome1_cells_alone(tmp_path):
     """Pay at the float limits, far apart by sex, fits an inf coefficient: the
     extrapolation fit raises, once, and only the fairhome1 cells carry it."""
@@ -626,6 +661,13 @@ def test_improvement_table_known_changes():
     expected_rel = 100.0 * (0.116 - 0.195) / 0.195
     assert entry["relative_change_pct"] == pytest.approx(expected_rel, abs=1e-9)
     assert abs(entry["relative_change_pct"] - (-40.7)) < 0.5  # within rounding of the target
+    # a negative original mean (mcc's) divides by its size, so the change keeps its sign
+    rows = [{**row, "mcc": -0.1 if row["method"] == "original" else 0.1}
+            for row in fake_records({"original": 0.195, "fairhome": 0.116})]
+    entry = next(t for t in improvement_table(rows)
+                 if t["method"] == "fairhome" and t["metric"] == "mcc")
+    assert entry["absolute_change"] == pytest.approx(0.2, abs=1e-12)
+    assert entry["relative_change_pct"] == pytest.approx(200.0, abs=1e-9)
 
 
 def test_single_method_single_rep_renders():
